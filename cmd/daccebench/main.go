@@ -4,8 +4,8 @@
 //	daccebench fig8   [-calls N] [-bench ...]         Figure 8 overhead
 //	daccebench fig9   [-calls N] [-bench ...]         Figure 9 progress series
 //	daccebench fig10  [-calls N] [-bench ...]         Figure 10 depth CDFs
-//	daccebench steady [-threads 1,2,4,8] [-compare]   steady-state scalability suite
-//	daccebench warmup [-threads 1,2,4,8] [-compare]   cold-start scalability suite
+//	daccebench steady [-threads 1,2,4,8]              steady-state scalability suite
+//	daccebench warmup [-threads 1,2,4,8]              cold-start scalability suite
 //	daccebench obs    [-threads 1,2,4]                observability-overhead suite
 //	daccebench stream [-samples 1000000]              streaming-decode firehose suite
 //	daccebench evict  [-rounds 120]                   epoch-retirement reclamation suite
@@ -66,7 +66,6 @@ func run() int {
 	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	benchJSON := fs.String("bench-json", "", "write machine-readable results (JSON) to this file")
 	threadsFlag := fs.String("threads", "", "steady: comma-separated thread counts (default 1,2,4,8)")
-	compare := fs.Bool("compare", false, "steady/warmup: also run the mutex-serialized comparison build and report speedups")
 	noReplay := fs.Bool("no-replay", false, "warmup: skip the warm-start replay rows")
 	ccprofOut := fs.String("ccprof-out", "", "steady: write the streaming context profile to this file (pprof protobuf; folded text for .folded names)")
 	reps := fs.Int("reps", 0, "obs: steady runs per cell, fastest reported (default 3); pause: measured passes per cell (default 5)")
@@ -76,7 +75,7 @@ func run() int {
 	depth := fs.Int("depth", 0, "adversarial: recursion-torture depth (default 100000)")
 	edgesFlag := fs.String("edges", "", "pause: comma-separated base graph sizes (default 10000,100000,1000000)")
 	deltasFlag := fs.String("deltas", "", "pause: comma-separated per-pass injection sizes (default 64,4096)")
-	modesFlag := fs.String("modes", "", "pause: comma-separated modes (default incremental,full,serialized)")
+	modesFlag := fs.String("modes", "", "pause: comma-separated modes (default incremental,full)")
 	sloPauseP99 := fs.Float64("slo-pause-p99", 0, "pause: fail if any incremental p99 pause exceeds this many microseconds (0 = off)")
 	_ = fs.Parse(os.Args[2:])
 
@@ -160,9 +159,9 @@ func run() int {
 		}
 		err = runReport(out, cfg)
 	case "steady":
-		err = runSteady(*threadsFlag, *calls, *sample, *compare, *benchJSON, *ccprofOut, state)
+		err = runSteady(*threadsFlag, *calls, *sample, *benchJSON, *ccprofOut, state)
 	case "warmup":
-		err = runWarmup(*threadsFlag, *calls, *sample, *compare, *noReplay, *benchJSON)
+		err = runWarmup(*threadsFlag, *calls, *sample, *noReplay, *benchJSON)
 	case "obs":
 		err = runObs(*threadsFlag, *calls, *sample, *reps, *benchJSON)
 	case "stream":
@@ -196,11 +195,10 @@ func run() int {
 // runSteady drives the multi-threaded steady-state scalability suite
 // and renders a summary table; -bench-json additionally writes the full
 // report in the BENCH_steady_state.json format.
-func runSteady(threadsCSV string, callsPerThread, sampleEvery int64, compare bool, jsonOut, ccprofOut string, state *cliutil.State) error {
+func runSteady(threadsCSV string, callsPerThread, sampleEvery int64, jsonOut, ccprofOut string, state *cliutil.State) error {
 	cfg := experiments.SteadyConfig{
 		CallsPerThread: callsPerThread,
 		SampleEvery:    sampleEvery,
-		Compare:        compare,
 		LoadState:      state.Load,
 		SaveState:      state.Save,
 		CcprofOut:      ccprofOut,
@@ -225,20 +223,16 @@ func runSteady(threadsCSV string, callsPerThread, sampleEvery int64, compare boo
 		return err
 	}
 	fmt.Printf("# Steady-state scalability (GOMAXPROCS=%d, NumCPU=%d)\n", rep.GoMaxProcs, rep.NumCPU)
-	fmt.Printf("%-8s %-11s %-7s %14s %14s %8s %7s\n",
-		"threads", "mode", "phase", "calls/s", "allocs/call", "traps", "epochs")
+	fmt.Printf("%-8s %-7s %14s %14s %8s %7s\n",
+		"threads", "phase", "calls/s", "allocs/call", "traps", "epochs")
 	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %-11s %-7s %14.0f %14.4f %8d %7d\n",
-			r.Threads, r.Mode, r.Phase, r.CallsPerSec, r.AllocsPerCall, r.HandlerTraps, r.Epochs)
+		fmt.Printf("%-8d %-7s %14.0f %14.4f %8d %7d\n",
+			r.Threads, r.Phase, r.CallsPerSec, r.AllocsPerCall, r.HandlerTraps, r.Epochs)
 	}
 	for _, n := range rep.Config.Threads {
 		k := fmt.Sprint(n)
 		if s, ok := rep.Scaling[k]; ok {
-			line := fmt.Sprintf("threads=%s scaling=%.2fx", k, s)
-			if sp, ok := rep.Speedup[k]; ok {
-				line += fmt.Sprintf(" speedup-vs-serialized=%.2fx", sp)
-			}
-			fmt.Println(line)
+			fmt.Printf("threads=%s scaling=%.2fx\n", k, s)
 		}
 	}
 	if ccprofOut != "" {
@@ -261,10 +255,9 @@ func runSteady(threadsCSV string, callsPerThread, sampleEvery int64, compare boo
 // runWarmup drives the cold-start scalability suite and renders a
 // summary table; -bench-json additionally writes the full report in the
 // BENCH_warmup.json format.
-func runWarmup(threadsCSV string, callsPerThread, sampleEvery int64, compare, noReplay bool, jsonOut string) error {
+func runWarmup(threadsCSV string, callsPerThread, sampleEvery int64, noReplay bool, jsonOut string) error {
 	cfg := experiments.WarmupConfig{
 		CallsPerThread: callsPerThread,
-		Compare:        compare,
 		NoReplay:       noReplay,
 	}
 	// The shared -sample default (256) suits the figure benchmarks; the
@@ -281,25 +274,18 @@ func runWarmup(threadsCSV string, callsPerThread, sampleEvery int64, compare, no
 		return err
 	}
 	fmt.Printf("# Cold-start scalability (GOMAXPROCS=%d, NumCPU=%d)\n", rep.GoMaxProcs, rep.NumCPU)
-	fmt.Printf("%-8s %-8s %-7s %12s %8s %7s %7s %12s %14s %10s %10s %10s\n",
-		"threads", "mode", "phase", "traps/s", "traps", "edges", "passes", "stable-ms", "calls/s",
+	fmt.Printf("%-8s %-7s %12s %8s %7s %7s %12s %14s %10s %10s %10s\n",
+		"threads", "phase", "traps/s", "traps", "edges", "passes", "stable-ms", "calls/s",
 		"pause-p50", "pause-p99", "pause-max")
 	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %-8s %-7s %12.0f %8d %7d %7d %12.2f %14.0f %8.1fus %8.1fus %8.1fus\n",
-			r.Threads, r.Mode, r.Phase, r.TrapsPerSec, r.HandlerTraps, r.EdgesDiscovered,
+		fmt.Printf("%-8d %-7s %12.0f %8d %7d %7d %12.2f %14.0f %8.1fus %8.1fus %8.1fus\n",
+			r.Threads, r.Phase, r.TrapsPerSec, r.HandlerTraps, r.EdgesDiscovered,
 			r.Passes, r.TimeToStableMs, r.CallsPerSec, r.PauseP50Us, r.PauseP99Us, r.PauseMaxUs)
 	}
 	for _, n := range rep.Config.Threads {
 		k := fmt.Sprint(n)
-		var parts []string
-		if sp, ok := rep.TrapSpeedup[k]; ok {
-			parts = append(parts, fmt.Sprintf("trap-speedup-vs-global=%.2fx", sp))
-		}
 		if tr, ok := rep.ReplayTraps[k]; ok {
-			parts = append(parts, fmt.Sprintf("replay-traps=%d", tr))
-		}
-		if len(parts) > 0 {
-			fmt.Printf("threads=%s %s\n", k, strings.Join(parts, " "))
+			fmt.Printf("threads=%s replay-traps=%d\n", k, tr)
 		}
 	}
 	if jsonOut != "" {
@@ -581,16 +567,8 @@ func runPause(edgesCSV, deltasCSV, modesCSV string, reps int, sloPauseP99 float6
 		if r.Mode != "incremental" {
 			continue
 		}
-		key := fmt.Sprintf("%d/%d", r.Edges, r.Delta)
-		var parts []string
-		if v, ok := rep.P99RatioFullOverIncr[key]; ok {
-			parts = append(parts, fmt.Sprintf("p99-full/incr=%.1fx", v))
-		}
-		if v, ok := rep.P99RatioSerOverIncr[key]; ok {
-			parts = append(parts, fmt.Sprintf("p99-serialized/incr=%.1fx", v))
-		}
-		if len(parts) > 0 {
-			fmt.Printf("edges=%d delta=%d %s\n", r.Edges, r.Delta, strings.Join(parts, " "))
+		if v, ok := rep.P99RatioFullOverIncr[fmt.Sprintf("%d/%d", r.Edges, r.Delta)]; ok {
+			fmt.Printf("edges=%d delta=%d p99-full/incr=%.1fx\n", r.Edges, r.Delta, v)
 		}
 	}
 	if jsonOut != "" {
@@ -625,7 +603,7 @@ func parseThreads(csv string, def []int) ([]int, error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: daccebench {table1|fig8|fig9|fig10|steady|warmup|obs|stream|evict|adversarial|pause|all|report [file]|dump-profiles|version} [-calls N] [-bench a,b] [-sample N] [-threads 1,2,4,8] [-compare] [-no-replay] [-reps N] [-samples N] [-rounds N] [-targets 2,16,1024] [-depth N] [-edges 10000,1000000] [-deltas 64,4096] [-modes incremental,full,serialized] [-slo-pause-p99 US] [-ccprof-out file] [-save-state file] [-load-state file] [-profiles file.json] [-metrics] [-metrics-format prom|json] [-trace-out file.json] [-flight-recorder N] [-cpuprofile file] [-memprofile file] [-bench-json file]")
+	fmt.Fprintln(os.Stderr, "usage: daccebench {table1|fig8|fig9|fig10|steady|warmup|obs|stream|evict|adversarial|pause|all|report [file]|dump-profiles|version} [-calls N] [-bench a,b] [-sample N] [-threads 1,2,4,8] [-no-replay] [-reps N] [-samples N] [-rounds N] [-targets 2,16,1024] [-depth N] [-edges 10000,1000000] [-deltas 64,4096] [-modes incremental,full] [-slo-pause-p99 US] [-ccprof-out file] [-save-state file] [-load-state file] [-profiles file.json] [-metrics] [-metrics-format prom|json] [-trace-out file.json] [-flight-recorder N] [-cpuprofile file] [-memprofile file] [-bench-json file]")
 }
 
 func runReport(path string, cfg experiments.RunConfig) error {

@@ -200,16 +200,17 @@ func (d *DAG) Intern(pred *Node, site prog.SiteID, fn prog.FuncID) *Node {
 	if n := lookup(t, h, pred, site, fn); n != nil {
 		if n.gen.Load() != g {
 			n.touch(g)
-			// The stamp may have raced a Collect that already decided to
-			// drop n from this shard. If the shard's table is unchanged,
-			// the collector has not published its sweep yet, so its
-			// post-publish rescue pass is ordered after our stamp and
-			// re-inserts n; if the table moved, re-resolve under the
-			// shard lock (below), which also waits out a rescue pass in
-			// progress. Either way the pointer we return stays canonical.
-			if sh.table.Load() != t {
-				return sh.intern(d, g, h, pred, site, fn, n)
-			}
+		}
+		// A Collect may have decided to drop n from this shard before
+		// n's current stamp landed — ours, or a racing reader's that we
+		// just observed. If the shard's table is unchanged, the
+		// collector has not published its sweep yet, so its rescue
+		// check, which runs under the shard lock right after the
+		// publish, is ordered after that stamp and re-inserts n; if the
+		// table moved, re-resolve under the shard lock (below). Either
+		// way the pointer we return stays canonical.
+		if sh.table.Load() != t {
+			return sh.intern(d, g, h, pred, site, fn, n)
 		}
 		sh.hits.Add(1)
 		return n

@@ -13,13 +13,15 @@
 //     never newer than its predecessor chain's. The mark phase can
 //     therefore stop raising a chain at the first node already at the
 //     floor.
-//  2. Readers re-check the table after stamping. A reader that stamps
-//     a node and then observes its shard's table unchanged is ordered
-//     before the sweep's publish, so the collector's post-publish
-//     rescue pass observes the stamp and re-inserts the node; a reader
-//     that observes a new table re-resolves under the shard lock and
-//     re-inserts the very node it holds if needed (shard.intern's
-//     rescue parameter). Either way a returned pointer stays canonical.
+//  2. Readers re-check the table after every hit. A reader that
+//     observes its shard's table unchanged is ordered before the
+//     sweep's publish, so the stamp it saw or wrote is visible to the
+//     rescue check the collector runs right after the publish, still
+//     holding the shard lock, and the node is re-inserted before any
+//     other writer can insert a duplicate; a reader that observes a
+//     new table re-resolves under the shard lock and re-inserts the
+//     very node it holds if needed (shard.intern's rescue parameter).
+//     Either way a returned pointer stays canonical.
 //  3. Callers bound the floor by in-flight work. The encoder derives
 //     the floor from its capture refcounts (a capture still decodable
 //     pins its epoch's generation); dacced serializes retirement
@@ -159,7 +161,7 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 		sh := &d.shards[i]
 		sh.mu.Lock()
 		t := sh.table.Load()
-		keep = keep[:0]
+		keep, dropped = keep[:0], dropped[:0]
 		for b := range t.buckets {
 			for e := t.buckets[b].Load(); e != nil; e = e.next {
 				if e.node.gen.Load() >= minGen {
@@ -177,28 +179,23 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 		}
 		sh.table.Store(nt)
 		sh.count = int64(len(keep))
-		sh.mu.Unlock()
-	}
 
-	// Rescue: a racing Intern can stamp a node after its shard's keep
-	// decision. If the reader saw the old table it returned the node
-	// counting on us — its stamp is ordered before our publish, so this
-	// re-check observes it; if it saw the new table it re-resolved under
-	// the shard lock and re-inserted the node itself. Re-check every
-	// dropped node once, after all shards have published, and thread the
-	// re-stamped ones back in.
-	for _, n := range dropped {
-		if n.gen.Load() < minGen {
-			continue
-		}
-		sh := &d.shards[n.hash&(shardCount-1)]
-		sh.mu.Lock()
-		t := sh.table.Load()
-		if lookup(t, n.hash, n.pred, n.site, n.fn) == nil {
-			if sh.count+1 > loadFactor*int64(len(t.buckets)) {
-				t = sh.grow(t)
+		// Rescue: a racing Intern can stamp a node after the keep
+		// decision. A reader that then saw the old table returned the
+		// node counting on us — its stamp is ordered before the publish
+		// above, so this re-check observes it, and holding the lock
+		// until the node is back keeps any other writer from inserting
+		// a duplicate first; a reader that saw the new table re-resolves
+		// under the lock and re-inserts the node itself.
+		for _, n := range dropped {
+			if n.gen.Load() < minGen {
+				st.Freed++
+				continue
 			}
-			b := &t.buckets[(n.hash>>32)&t.mask]
+			if sh.count+1 > loadFactor*int64(len(nt.buckets)) {
+				nt = sh.grow(nt)
+			}
+			b := &nt.buckets[(n.hash>>32)&nt.mask]
 			b.Store(&entry{node: n, next: b.Load()})
 			sh.count++
 			st.Rescued++
@@ -206,7 +203,6 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 		sh.mu.Unlock()
 	}
 
-	st.Freed = int64(len(dropped)) - st.Rescued
 	d.collections.Add(1)
 	d.collected.Add(st.Freed)
 	return st

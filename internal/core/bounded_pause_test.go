@@ -206,8 +206,8 @@ func TestSelectiveTranslationCounters(t *testing.T) {
 
 	st := d.Stats()
 	last := st.History[len(st.History)-1]
-	if !last.Incremental || !last.Concurrent {
-		t.Fatalf("expected an incremental concurrent pass, got %+v", last)
+	if !last.Incremental {
+		t.Fatalf("expected an incremental pass, got %+v", last)
 	}
 	if last.ThreadsTranslated != 0 || last.ThreadsSkipped != 0 || last.FramesReplayed != 0 {
 		t.Errorf("threadless pass recorded translation work: %+v", last)

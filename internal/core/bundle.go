@@ -168,5 +168,5 @@ func NewDecoderFromBundle(b *Bundle) (*Decoder, error) {
 		}
 		dicts = append(dicts, asn)
 	}
-	return &Decoder{P: pb, G: g, Dicts: dicts}, nil
+	return NewDecoder(pb, g, dicts), nil
 }

@@ -83,13 +83,6 @@ type Options struct {
 	// triggers still re-encode fully, so frequency reordering keeps
 	// happening.
 	Incremental bool
-	// SerializedDiscovery routes every handler trap through the global
-	// scheme mutex — the pre-sharding discipline, kept as the baseline
-	// the warmup suite compares the sharded cold-start path against
-	// (and as an A/B debugging aid). Off by default: discovery uses
-	// per-shard locks and per-thread publication buffers, and
-	// concurrent trigger firings coalesce into one re-encoding pass.
-	SerializedDiscovery bool
 	// TrackProgress records a Fig. 9-style progress point every
 	// ProgressEvery samples.
 	TrackProgress bool
@@ -174,12 +167,11 @@ type DACCE struct {
 
 	// mu guards the graph registry (NodeSeq/Edges/adjacency),
 	// snapshot publication and the discovery state below. Stubs on the
-	// fast path never take it, and since discovery went sharded the
-	// runtime handler does not either: a trap touches only its site's
-	// graph shard and rebuild shard, and publishes the new edge through
-	// the thread's buffer, which is batch-registered under one mu
-	// acquisition per discoveryBatch edges (or at the next pass/export,
-	// whichever drains first).
+	// fast path never take it, and the runtime handler does not either:
+	// a trap touches only its site's graph shard and rebuild shard, and
+	// publishes the new edge through the thread's buffer, which is
+	// batch-registered under one mu acquisition per discoveryBatch edges
+	// (or at the next pass/export, whichever drains first).
 	mu         sync.Mutex
 	g          *graph.Graph
 	pendingNew []*graph.Edge // edges registered since the last pass
@@ -204,12 +196,11 @@ type DACCE struct {
 	// every thread's counters cross the threshold together — coalesce
 	// into a single stop-the-world pass instead of a convoy of stoppers
 	// each paying a world-stop to discover the winner already reset the
-	// counters. Bypassed by ForceReencode and by SerializedDiscovery
-	// (which models the old convoy faithfully).
+	// counters. Bypassed by ForceReencode and ReencodeNow.
 	reencodeGate atomic.Bool
 
 	// edgesDiscovered counts first invocations seen by the handler;
-	// atomic because sharded traps bump it without mu.
+	// atomic because traps bump it without mu.
 	edgesDiscovered atomic.Int64
 
 	// sink receives telemetry events; nil disables emission (the fast
@@ -656,9 +647,8 @@ func (d *DACCE) SetContextObserver(o ContextObserver) {
 func (d *DACCE) PauseHist() *telemetry.Histogram { return d.pauseHist }
 
 // PrepareHist returns the live concurrent-prepare duration histogram:
-// the off-pause portion of each bounded-pause re-encoding (assignment +
-// decode-index construction with the world still running). Classic
-// all-in-pause passes do not observe into it.
+// the off-pause portion of each re-encoding pass (assignment +
+// decode-index construction with the world still running).
 func (d *DACCE) PrepareHist() *telemetry.Histogram { return d.prepHist }
 
 // TrapHist returns the live runtime-handler latency histogram (wall

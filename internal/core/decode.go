@@ -23,7 +23,7 @@ const maxDecodeSteps = 1 << 22
 func (d *DACCE) Decode(c *Capture) (Context, error) {
 	start := time.Now()
 	snap := d.cur()
-	dec := &Decoder{P: d.p, G: d.g, Dicts: snap.dicts, idx: snap.idx}
+	dec := &Decoder{P: d.p, Dicts: snap.dicts, idx: snap.idx}
 	ctx, err := dec.decode(c, true)
 	dur := time.Since(start).Nanoseconds()
 	d.decodeHist.Observe(dur)
@@ -37,21 +37,26 @@ func (d *DACCE) Decode(c *Capture) (Context, error) {
 	return ctx, err
 }
 
-// Decoder turns captures back into calling contexts given a program, a
-// call graph and the per-epoch decode dictionaries. DACCE wraps one
-// internally; the PCCE baseline reuses it with a single static epoch.
+// Decoder turns captures back into calling contexts given a program and
+// the per-epoch decode dictionaries. Build one with NewDecoder. DACCE
+// wraps one internally; the PCCE baseline reuses it with a single
+// static epoch.
 type Decoder struct {
 	P     *prog.Program
-	G     *graph.Graph
 	Dicts []*blenc.Assignment
 
-	// idx optionally holds one immutable per-epoch decode index,
-	// parallel to Dicts. When an epoch has one, decoding walks it
-	// instead of G, so the decoder is safe against concurrent graph
-	// growth; when absent (external constructions like the PCCE
-	// baseline) the decoder falls back to walking G's in-edge lists,
-	// which the caller must keep quiescent.
+	// idx holds one immutable decode index per epoch, parallel to
+	// Dicts. Decoding walks only these, never a call graph, so a
+	// Decoder is safe for concurrent use.
 	idx []*decodeIndex
+}
+
+// NewDecoder builds a decoder for program p from the per-epoch
+// dictionaries and a call graph holding every edge they encode. The
+// graph is read only while the epoch indexes are built, and must not be
+// mutated concurrently with this call.
+func NewDecoder(p *prog.Program, g *graph.Graph, dicts []*blenc.Assignment) *Decoder {
+	return &Decoder{P: p, Dicts: dicts, idx: newDecodeIndexes(g, dicts)}
 }
 
 // decodeScratch holds a thread's reusable decode buffers so the
@@ -63,9 +68,7 @@ type decodeScratch struct {
 	rev []ContextFrame
 }
 
-// Decode decodes a capture, including the spawn-path prefix. The caller
-// must ensure the graph is not mutated concurrently (not a concern when
-// the decoder carries per-epoch indexes).
+// Decode decodes a capture, including the spawn-path prefix.
 func (dec *Decoder) Decode(c *Capture) (Context, error) {
 	return dec.decode(c, true)
 }
@@ -114,43 +117,15 @@ type step struct {
 }
 
 // findEdge returns the unique encoded in-edge of fn whose code range
-// contains id at the dictionary's epoch (Algorithm 1 lines 26–33:
-// En(e) ≤ id < En(e)+numCC(p)), or ok=false. With a per-epoch index the
-// lookup walks only fn's frozen encoded in-edges; the graph fallback
-// walks the live in-edge list and filters by the dictionary.
-func (dec *Decoder) findEdge(dict *blenc.Assignment, ix *decodeIndex, fn prog.FuncID, id uint64) (step, bool) {
-	if ix != nil {
-		for _, e := range ix.in[fn] {
-			if e.code <= id && id < e.code+e.ncc {
-				return step{site: e.site, caller: e.caller, code: e.code}, true
-			}
-		}
-		return step{}, false
-	}
-	n := dec.G.Node(fn)
-	if n == nil {
-		return step{}, false
-	}
-	for _, e := range n.In {
-		code, ok := dict.Codes[graph.EdgeKey{Site: e.Site, Target: e.Target}]
-		if !ok || !code.Encoded {
-			continue // edge absent at that epoch, or unencoded
-		}
-		ncc := dict.NumCC[e.Caller]
-		if code.Value <= id && id < code.Value+ncc {
-			return step{site: e.Site, caller: e.Caller, code: code.Value}, true
+// contains id at the index's epoch (Algorithm 1 lines 26–33:
+// En(e) ≤ id < En(e)+numCC(p)), or ok=false.
+func (ix *decodeIndex) findEdge(fn prog.FuncID, id uint64) (step, bool) {
+	for _, e := range ix.in[fn] {
+		if e.code <= id && id < e.code+e.ncc {
+			return step{site: e.site, caller: e.caller, code: e.code}, true
 		}
 	}
 	return step{}, false
-}
-
-// epochIndex returns the decode index for an epoch, or nil when the
-// decoder has none (external Decoder constructions).
-func (dec *Decoder) epochIndex(epoch uint32) *decodeIndex {
-	if int(epoch) < len(dec.idx) {
-		return dec.idx[epoch]
-	}
-	return nil
 }
 
 // decodeOne decodes the thread-local part of a capture (no spawn
@@ -179,14 +154,14 @@ func (dec *Decoder) decodeOne(c *Capture, scratch *decodeScratch) (Context, erro
 // reversal (and with it any touching of the frames after the walk) is
 // confined to the slice-materializing path.
 func (dec *Decoder) decodeOneRev(c *Capture, scratch *decodeScratch) ([]ContextFrame, error) {
-	if int(c.Epoch) >= len(dec.Dicts) {
+	if int(c.Epoch) >= len(dec.Dicts) || int(c.Epoch) >= len(dec.idx) {
 		return nil, fmt.Errorf("core: capture epoch %d has no dictionary", c.Epoch)
 	}
 	if err := dec.validate(c); err != nil {
 		return nil, err
 	}
 	dict := dec.Dicts[c.Epoch]
-	ix := dec.epochIndex(c.Epoch)
+	ix := dec.idx[c.Epoch]
 	maxID := dict.MaxID
 
 	ifun := c.Fn
@@ -255,7 +230,7 @@ func (dec *Decoder) decodeOneRev(c *Capture, scratch *decodeScratch) ([]ContextF
 
 		// Acyclic sub-path phase (lines 26–33): follow the unique
 		// encoded in-edge whose range contains id.
-		st, ok := dec.findEdge(dict, ix, ifun, id)
+		st, ok := ix.findEdge(ifun, id)
 		if !ok {
 			return nil, fmt.Errorf("core: stuck decoding at f%d id=%d onstack=%v |cc|=%d (epoch %d)", ifun, id, onstack, len(cc), c.Epoch)
 		}
@@ -311,7 +286,7 @@ func (dec *Decoder) segment(rev []ContextFrame, dict *blenc.Assignment, ix *deco
 		if steps++; steps > maxDecodeSteps {
 			return nil, fmt.Errorf("core: repetition segment exceeded %d steps", maxDecodeSteps)
 		}
-		st, ok := dec.findEdge(dict, ix, cur, id)
+		st, ok := ix.findEdge(cur, id)
 		if !ok {
 			return nil, fmt.Errorf("core: stuck in segment at f%d id=%d", cur, id)
 		}

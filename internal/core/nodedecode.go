@@ -42,7 +42,7 @@ func (d *DACCE) DAG() *ccdag.DAG { return d.dag }
 func (d *DACCE) DecodeNode(c *Capture) (*ccdag.Node, error) {
 	start := time.Now()
 	snap := d.cur()
-	dec := &Decoder{P: d.p, G: d.g, Dicts: snap.dicts, idx: snap.idx}
+	dec := &Decoder{P: d.p, Dicts: snap.dicts, idx: snap.idx}
 	scratch := nodeScratchPool.Get().(*decodeScratch)
 	n, err := dec.decodeNode(d.dag, c, scratch)
 	nodeScratchPool.Put(scratch)

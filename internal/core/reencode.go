@@ -107,11 +107,9 @@ func (ts trigSnap) reason(force bool) telemetry.Reason {
 func (d *DACCE) triggersFired() bool { return d.trigSnapshot().fired() }
 
 // passPlan is everything one re-encoding pass decided, computed by
-// preparePlanLocked and applied by commitPlanLocked. On the organizer's
-// concurrent path the plan is prepared with the world still running and
-// committed inside a short stop-the-world window; on the classic path
-// (SerializedDiscovery, ForceReencode) both halves run inside the
-// pause.
+// preparePlanLocked and applied by commitPlanLocked: the plan is
+// prepared with the world still running and committed inside a short
+// stop-the-world window.
 type passPlan struct {
 	// prevEpoch/prevMaxID identify the snapshot the plan was computed
 	// against; a commit against any other epoch must re-prepare.
@@ -154,9 +152,9 @@ type passPlan struct {
 
 // preparePlanLocked computes one pass's assignment, decode index,
 // compression additions and delta rebuild sets. Caller holds d.mu with
-// publication buffers drained; the world may still be running (the
-// concurrent-prepare path), so everything here reads the registered
-// graph under d.mu and touches no stub or thread state.
+// publication buffers drained; the world may still be running, so
+// everything here reads the registered graph under d.mu and touches no
+// stub or thread state.
 func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	snap := d.cur()
 	plan := &passPlan{
@@ -411,7 +409,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	if self != nil {
 		self.C.ReencodeCost += cost
 	}
-	concurrent := !pauseStart.Equal(start)
+	prepare := pauseStart.Sub(start).Nanoseconds()
 	if plan.incremental {
 		d.stats.IncrementalPasses++
 	}
@@ -427,7 +425,6 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 		Overflowed:        plan.asn.Overflowed,
 		CostCycles:        cost,
 		Incremental:       plan.incremental,
-		Concurrent:        concurrent,
 		ChangedEdges:      len(plan.changed),
 		IndexEntries:      plan.indexEntries,
 		SitesRebuilt:      sitesRebuilt,
@@ -442,7 +439,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 		IndexNanos:        plan.indexNanos,
 		StubNanos:         stubNanos,
 		TranslateNanos:    translateNanos,
-		PrepareNanos:      prepNanosOf(start, pauseStart),
+		PrepareNanos:      prepare,
 	})
 	d.lastPlan = plan
 
@@ -457,9 +454,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	pause := time.Since(pauseStart).Nanoseconds()
 	d.stats.History[len(d.stats.History)-1].PauseNanos = pause
 	d.pauseHist.Observe(pause)
-	if concurrent {
-		d.prepHist.Observe(prepNanosOf(start, pauseStart))
-	}
+	d.prepHist.Observe(prepare)
 	if d.sink != nil {
 		d.sink.Emit(telemetry.Event{
 			Kind: telemetry.EvReencodeEnd, Thread: tid, Reason: plan.reason,
@@ -469,35 +464,16 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	}
 }
 
-// prepNanosOf is the off-pause prepare duration of a concurrent pass;
-// zero for classic all-in-pause passes (pauseStart == start).
-func prepNanosOf(start, pauseStart time.Time) int64 {
-	if pauseStart.Equal(start) {
-		return 0
-	}
-	return pauseStart.Sub(start).Nanoseconds()
-}
-
-// reencode performs one adaptive re-encoding pass (paper §4) on the
-// classic serialized path: stop the world, then compute the new
-// numbering, snapshot the decode dictionary, regenerate stubs and
-// translate live threads — all inside the pause. Kept as the
-// SerializedDiscovery baseline and the ForceReencode fallback; the
-// organizer path (maybeReencode) prepares concurrently instead. self is
-// the triggering thread (charged the re-encoding cost), or nil when
-// invoked from outside any thread.
-func (d *DACCE) reencode(self *machine.Thread) { d.reencodeIf(self, passAuto) }
-
 // reencodeSettleRounds bounds the trigger-hysteresis hold-off: how many
 // scheduler yields the gate winner spends waiting for a concurrent
 // discovery burst to quiet down before stopping the world, so the pass
 // absorbs the whole burst instead of running again moments later.
 const reencodeSettleRounds = 8
 
-// maybeReencode is the trigger-firing entry point of the sharded path:
-// one CAS admits a single organizer, every concurrent firing returns
-// immediately (its trigger state persists, and the winner's pass will
-// either absorb it or leave the counters for the next check). The
+// maybeReencode is the trigger-firing entry point: one CAS admits a
+// single organizer, every concurrent firing returns immediately (its
+// trigger state persists, and the winner's pass will either absorb it
+// or leave the counters for the next check). The
 // winner then holds off briefly while new-edge discovery is still
 // advancing — cold-start bursts make all threads cross the threshold
 // together, and one slightly-later pass over the full burst costs far
@@ -507,11 +483,6 @@ const reencodeSettleRounds = 8
 // straggler drain, the publication and the delta stub/thread repair
 // pay a stop-the-world pause.
 func (d *DACCE) maybeReencode(self *machine.Thread) {
-	if d.opt.SerializedDiscovery {
-		d.reencode(self)
-		d.maybeCollect()
-		return
-	}
 	if !d.reencodeGate.CompareAndSwap(false, true) {
 		return
 	}
@@ -535,23 +506,21 @@ func (d *DACCE) maybeReencode(self *machine.Thread) {
 	d.reencodeConcurrent(self, passAuto)
 }
 
-// ForceReencode triggers a re-encoding pass unconditionally. exec is
-// the currently executing thread when called from inside a function
-// body, or nil when the machine is idle (before or after a run).
-func (d *DACCE) ForceReencode(exec prog.Exec) {
-	t, _ := exec.(*machine.Thread)
-	d.reencodeIf(t, passForceFull)
-	d.maybeCollect()
-}
+// ForceReencode runs one full re-encoding pass unconditionally and
+// returns once it has committed, even when it races the organizer's
+// adaptive pass. exec is the currently executing thread when called
+// from inside a function body, or nil when the machine is idle (before
+// or after a run).
+func (d *DACCE) ForceReencode(exec prog.Exec) { d.ReencodeNow(exec, false) }
 
 // ReencodeNow runs one re-encoding pass immediately, regardless of
-// trigger state, on the organizer's concurrent-prepare path. With
-// incremental set (and Options.Incremental on) the pass renumbers only
-// the subgraph affected by edges added since the last pass; otherwise
-// it renumbers fully, still preparing off-pause. Bypasses the
-// reencode gate like ForceReencode does — the experiment suites that
-// drive it are single-threaded organizers by construction. exec is the
-// currently executing thread, or nil when the machine is idle.
+// trigger state. With incremental set (and Options.Incremental on) the
+// pass renumbers only the subgraph affected by edges added since the
+// last pass; otherwise it renumbers fully. Either way the plan is
+// prepared off-pause and committed in one short stop-the-world window.
+// Bypasses the reencode gate, so the pass has committed on return even
+// when it races the organizer. exec is the currently executing thread,
+// or nil when the machine is idle.
 func (d *DACCE) ReencodeNow(exec prog.Exec, incremental bool) {
 	t, _ := exec.(*machine.Thread)
 	mode := passForceFull
@@ -635,6 +604,16 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 		d.drainAllLocked()
 		trig = d.trigSnapshot()
 		if mode == passAuto && !trig.fired() {
+			// Aborted: close the span EvReencodeStart opened, leaving
+			// the epoch where the intervening pass put it.
+			if d.sink != nil {
+				snap := d.cur()
+				d.sink.Emit(telemetry.Event{
+					Kind: telemetry.EvReencodeEnd, Thread: tid, Reason: plan.reason,
+					Epoch: snap.epoch, Site: prog.NoSite, Fn: prog.NoFunc,
+					Err: true, Aux: snap.maxID, DurNanos: time.Since(pauseStart).Nanoseconds(),
+				})
+			}
 			return
 		}
 		plan = d.preparePlanLocked(mode, trig)
@@ -649,64 +628,6 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 		}
 	}
 	d.commitPlanLocked(self, plan, start, pauseStart)
-}
-
-// reencodeIf is the classic all-in-pause pass: stop the world first,
-// then prepare and commit inside the pause. SerializedDiscovery routes
-// every adaptive pass through it (the pre-sharding baseline the warmup
-// suite measures against), and ForceReencode uses it so an external
-// caller observes the pass fully completed on return even when racing
-// the organizer.
-func (d *DACCE) reencodeIf(self *machine.Thread, mode passMode) {
-	// The pause clock starts before the world stops (see above).
-	// Aborted passes (trigger re-check, ablation cap) are not recorded —
-	// they are gate noise, not passes.
-	start := time.Now()
-	if m := d.m.Load(); m != nil {
-		m.StopTheWorld(self)
-		defer m.ResumeTheWorld(self)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	// Register everything still sitting in per-thread publication
-	// buffers: the pass must see (and encode) every edge discovered
-	// before the world stopped, and pendingNew feeds the incremental
-	// refresh.
-	d.drainAllLocked()
-
-	trig := d.trigSnapshot()
-	if mode == passAuto {
-		// Another thread may have completed a pass while we waited to
-		// become the stopper; its counter reset makes the triggers
-		// false. The counters are atomic, so the same check that serves
-		// as the lock-free pre-check is authoritative here under d.mu.
-		if !trig.fired() {
-			return
-		}
-		if d.opt.MaxReencodes > 0 && d.stats.GTS >= d.opt.MaxReencodes {
-			// Ablation cap reached: keep running on the current encoding.
-			d.newEdges.Store(0)
-			d.unencCalls.Store(0)
-			d.ccOps.Store(0)
-			d.hotMiss.Store(0)
-			return
-		}
-	}
-
-	if d.sink != nil {
-		tid := int32(-1)
-		if self != nil {
-			tid = int32(self.ID())
-		}
-		d.sink.Emit(telemetry.Event{
-			Kind: telemetry.EvReencodeStart, Thread: tid, Reason: trig.reason(mode != passAuto),
-			Epoch: d.cur().epoch, Site: prog.NoSite, Fn: prog.NoFunc,
-			Value: uint64(d.g.NumEdges()),
-		})
-	}
-	plan := d.preparePlanLocked(mode, trig)
-	d.commitPlanLocked(self, plan, start, start)
 }
 
 // translateThreadLocked replays a thread's shadow stack under the
@@ -759,16 +680,6 @@ func (d *DACCE) healTailFrame(t *machine.Thread) {
 	d.translateThreadLocked(t)
 	d.stats.TailHeals++
 	d.mu.Unlock()
-}
-
-// healTailFrameLocked is healTailFrame for callers already holding d.mu
-// (the serialized trap path).
-func (d *DACCE) healTailFrameLocked(t *machine.Thread) {
-	if !d.tailFrameStale(t) {
-		return
-	}
-	d.translateThreadLocked(t)
-	d.stats.TailHeals++
 }
 
 // tailFrameStale reports whether the thread's nearest non-tail active

@@ -66,13 +66,14 @@ func (s *encSnap) withTailLocked(fn prog.FuncID) *encSnap {
 	return &ns
 }
 
-// decodeIndex is the per-epoch decode acceleration structure: for every
-// function, the encoded in-edges of the epoch with their code ranges
-// (Algorithm 1 lines 26–33), plus an edge lookup table for crediting
-// sample-estimated frequencies. It is built once per re-encoding pass —
-// with d.mu held and the world stopped — and immutable afterwards, so
-// the decoder and the sampling controller can walk it lock-free while
-// the live graph keeps growing on other threads.
+// decodeIndex is the per-epoch decode structure: for every function,
+// the encoded in-edges of the epoch with their code ranges (Algorithm 1
+// lines 26–33), plus an edge lookup table for crediting
+// sample-estimated frequencies. It is built once per epoch — by the
+// pass that opens the epoch, or from a snapshot by Restore and
+// NewDecoder — and immutable afterwards, so the decoder and the
+// sampling controller can walk it lock-free while the live graph keeps
+// growing on other threads.
 //
 // An epoch's encoded edge set is frozen by construction: edges
 // discovered after the pass are unencoded (they live on the ccStack and
@@ -80,8 +81,8 @@ func (s *encSnap) withTailLocked(fn prog.FuncID) *encSnap {
 // graph), so the index is complete for every capture of its epoch.
 type decodeIndex struct {
 	// in maps a function to its encoded in-edges at this epoch, in
-	// in-edge insertion order (the same order Decoder.findEdge walks
-	// Node.In), each carrying the caller's numCC for the range check.
+	// Node.In insertion order, each carrying the caller's numCC for the
+	// range check.
 	in map[prog.FuncID][]inEdge
 	// edges maps every edge that existed when the index was built to
 	// its graph edge, whose Freq field is updated atomically by the
@@ -99,8 +100,8 @@ type inEdge struct {
 }
 
 // newDecodeIndex builds the immutable decode index for one epoch's
-// assignment. Caller holds d.mu (and, during re-encoding, the world is
-// stopped), so the graph iteration is safe.
+// assignment. The caller keeps g from being mutated meanwhile: it holds
+// d.mu, or owns g outright (restored and offline decoders).
 func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment) *decodeIndex {
 	ix := &decodeIndex{
 		in:    make(map[prog.FuncID][]inEdge),
@@ -121,6 +122,18 @@ func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment) *decodeIndex {
 		})
 	}
 	return ix
+}
+
+// newDecodeIndexes builds one decode index per epoch dictionary. The
+// final graph is a superset of every epoch's edge set; edges discovered
+// after an epoch's pass have no code in its dictionary and are skipped,
+// so each index matches the one the live pass built.
+func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex {
+	idx := make([]*decodeIndex, 0, len(dicts))
+	for _, asn := range dicts {
+		idx = append(idx, newDecodeIndex(g, asn))
+	}
+	return idx
 }
 
 // deltaDecodeIndex derives the next epoch's decode index from the

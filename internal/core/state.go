@@ -371,14 +371,7 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 	d := New(p, opt)
 	g := st.rebuildGraph(p)
 	dicts := st.assignments()
-	idx := make([]*decodeIndex, 0, len(dicts))
-	for _, asn := range dicts {
-		// The final graph is a superset of every epoch's edge set; edges
-		// discovered after an epoch's pass have no code in its dictionary
-		// and are skipped, so each rebuilt index matches the one the live
-		// pass built.
-		idx = append(idx, newDecodeIndex(g, asn))
-	}
+	idx := newDecodeIndexes(g, dicts)
 	tail := make(map[prog.FuncID]bool, len(st.Tail))
 	for _, fn := range st.Tail {
 		tail[fn] = true
@@ -415,10 +408,10 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 }
 
 // NewDecoder builds a standalone decoder from the state: a skeletal
-// program (names, site callers and kinds), the rebuilt call graph and
-// one immutable decode index per epoch. The decoder shares nothing with
-// the process that exported the state and is safe for concurrent use —
-// the decode-as-a-service path of cmd/dacced.
+// program (names, site callers and kinds) and one immutable decode
+// index per epoch, built from the rebuilt call graph. The decoder
+// shares nothing with the process that exported the state and is safe
+// for concurrent use — the decode-as-a-service path of cmd/dacced.
 func (st *EncoderState) NewDecoder() (*Decoder, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -430,13 +423,7 @@ func (st *EncoderState) NewDecoder() (*Decoder, error) {
 	for i, s := range st.Sites {
 		p.Sites = append(p.Sites, &prog.Site{ID: prog.SiteID(i), Caller: s.Caller, Kind: prog.Kind(s.Kind)})
 	}
-	g := st.rebuildGraph(p)
-	dicts := st.assignments()
-	idx := make([]*decodeIndex, 0, len(dicts))
-	for _, asn := range dicts {
-		idx = append(idx, newDecodeIndex(g, asn))
-	}
-	return &Decoder{P: p, G: g, Dicts: dicts, idx: idx}, nil
+	return NewDecoder(p, st.rebuildGraph(p), st.assignments()), nil
 }
 
 // NumEdgesAtEpoch returns how many edges existed when the given epoch's

@@ -2,13 +2,13 @@ package core
 
 import "dacce/internal/machine"
 
-// EpochRecord summarizes one re-encoding pass: what it produced, how it
-// ran (incremental / concurrent-prepare), how much work each phase did,
-// and what each phase cost — both in model cycles (CostCycles is the
-// sum of the four phase costs, so Table 1's "costs" column still adds
-// up) and in measured wall time. Renumbering and index construction run
-// off-pause on the concurrent path; stub rebuild and thread translation
-// always run inside the stop-the-world window.
+// EpochRecord summarizes one re-encoding pass: what it produced,
+// whether it ran incrementally, how much work each phase did, and what
+// each phase cost — both in model cycles (CostCycles is the sum of the
+// four phase costs, so Table 1's "costs" column still adds up) and in
+// measured wall time. Renumbering and index construction run off-pause;
+// stub rebuild and thread translation run inside the stop-the-world
+// window.
 type EpochRecord struct {
 	Epoch        uint32
 	AtSample     int64 // samplesSeen when the pass ran (Fig. 9 x-axis)
@@ -20,10 +20,8 @@ type EpochRecord struct {
 	CostCycles   int64
 
 	// Incremental: the pass renumbered only the affected subgraph
-	// (blenc.Refresh without fallback). Concurrent: assignment and
-	// decode index were prepared with the world still running.
+	// (blenc.Refresh without fallback).
 	Incremental bool
-	Concurrent  bool
 
 	// Per-phase work volume.
 	ChangedEdges      int // edges whose code differs from the previous epoch
@@ -40,8 +38,7 @@ type EpochRecord struct {
 	TranslateCost int64
 
 	// Per-phase wall time. PrepareNanos is the off-pause portion
-	// (renumber + index on the concurrent path; 0 for classic passes);
-	// PauseNanos is the stop-the-world window.
+	// (renumber + index); PauseNanos is the stop-the-world window.
 	RenumberNanos  int64
 	IndexNanos     int64
 	StubNanos      int64

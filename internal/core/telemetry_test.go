@@ -54,9 +54,20 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		t.Errorf("EvEdgeDiscovered count = %d, Stats.EdgesDiscovered = %d", n, st.EdgesDiscovered)
 	}
 	starts := sink.byKind(telemetry.EvReencodeStart)
-	ends := sink.byKind(telemetry.EvReencodeEnd)
-	if len(starts) != st.GTS || len(ends) != st.GTS {
-		t.Errorf("re-encode events = %d start / %d end, Stats.GTS = %d", len(starts), len(ends), st.GTS)
+	var ends []telemetry.Event // committed passes; aborted ones carry Err
+	aborted := 0
+	for _, ev := range sink.byKind(telemetry.EvReencodeEnd) {
+		if ev.Err {
+			aborted++
+			continue
+		}
+		ends = append(ends, ev)
+	}
+	if len(starts) != len(ends)+aborted {
+		t.Errorf("re-encode events = %d start / %d end", len(starts), len(ends)+aborted)
+	}
+	if len(ends) != st.GTS {
+		t.Errorf("committed re-encode ends = %d, Stats.GTS = %d", len(ends), st.GTS)
 	}
 	for i, ev := range ends {
 		if ev.Reason == telemetry.ReasonNone {
@@ -91,6 +102,59 @@ func TestTelemetryMatchesStats(t *testing.T) {
 		if ev.Value == 0 {
 			t.Errorf("EvDecodeRequest[%d] reports empty context", i)
 		}
+	}
+}
+
+// forcingSink records events and, on the first prepared event of an
+// adaptive pass, forces a pass of its own: a forced pass publishes an
+// epoch between the adaptive pass's prepare and its stop-the-world.
+type forcingSink struct {
+	collectSink
+	d      *DACCE
+	forced bool
+}
+
+func (s *forcingSink) Emit(ev telemetry.Event) {
+	s.collectSink.Emit(ev)
+	if ev.Kind == telemetry.EvReencodePrepared && ev.Reason != telemetry.ReasonForced && !s.forced {
+		s.forced = true
+		s.d.ForceReencode(nil)
+	}
+}
+
+// TestAbortedPassClosesSpan: an adaptive pass whose plan went stale
+// under a forced pass, and whose triggers no longer fire on the
+// re-check, publishes nothing but must still pair its EvReencodeStart
+// with an EvReencodeEnd, flagged Err and leaving the epoch where the
+// forced pass put it.
+func TestAbortedPassClosesSpan(t *testing.T) {
+	p, base, _ := twoLevelProgram(t, 2, 4, 0)
+	sink := &forcingSink{}
+	d := New(p, Options{Trig: Triggers{NewEdges: 4}, Sink: sink})
+	sink.d = d
+	d.InjectDiscoveries(base)
+	d.Maintain(nil)
+	if !sink.forced {
+		t.Fatal("no adaptive pass reached its prepare; the test exercised nothing")
+	}
+
+	starts := sink.byKind(telemetry.EvReencodeStart)
+	ends := sink.byKind(telemetry.EvReencodeEnd)
+	if len(starts) != 2 || len(ends) != 2 {
+		t.Fatalf("re-encode events = %d start / %d end, want 2/2", len(starts), len(ends))
+	}
+	if gts := d.Stats().GTS; gts != 1 {
+		t.Fatalf("Stats.GTS = %d, want 1 (only the forced pass commits)", gts)
+	}
+	forced, aborted := ends[0], ends[1]
+	if forced.Err || forced.Reason != telemetry.ReasonForced {
+		t.Errorf("first end = %v, want the committed forced pass", forced)
+	}
+	if !aborted.Err || aborted.Reason != starts[0].Reason {
+		t.Errorf("second end = %v, want an aborted end matching start %v", aborted, starts[0])
+	}
+	if aborted.Epoch != d.Epoch() || aborted.Aux != d.MaxID() || aborted.Value != 0 {
+		t.Errorf("aborted end = %v, want epoch %d, maxID %d, no cost", aborted, d.Epoch(), d.MaxID())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // small delta of newly discovered edges. The suite stages synthetic
 // graphs of 10k–1M edges, injects a delta through the same bookkeeping
 // a runtime-handler trap performs, and measures one pass per rep under
-// three regimes:
+// two regimes:
 //
 //   - incremental: bounded-pause pass (core.ReencodeNow with
 //     incremental renumbering) — concurrent prepare, delta stub
@@ -25,8 +25,6 @@ import (
 //     and index are still computed off-pause, but every site is rebuilt
 //     inside the pause. Isolates the delta-rebuild win from the
 //     concurrent-prepare win.
-//   - serialized: the classic all-in-pause pass (core.ForceReencode):
-//     renumbering, index, rebuild all inside the stop-the-world window.
 //
 // No application threads run: the measured pause is the runtime's own
 // work, which is exactly the quantity that must stop scaling with graph
@@ -39,7 +37,7 @@ type PauseConfig struct {
 	// Reps is how many delta+pass rounds are measured per configuration
 	// (default 5).
 	Reps int
-	// Modes selects the regimes (default incremental, full, serialized).
+	// Modes selects the regimes (default incremental, full).
 	Modes []string
 	// SLOPauseP99Us, when > 0, makes the suite fail if any incremental
 	// row's p99 pause exceeds this many microseconds — the CI smoke
@@ -58,7 +56,7 @@ func (c *PauseConfig) fill() {
 		c.Reps = 5
 	}
 	if len(c.Modes) == 0 {
-		c.Modes = []string{"incremental", "full", "serialized"}
+		c.Modes = []string{"incremental", "full"}
 	}
 }
 
@@ -80,13 +78,11 @@ type PauseRow struct {
 	PauseP50Us float64 `json:"pause_p50_us"`
 	PauseP99Us float64 `json:"pause_p99_us"`
 	PauseMaxUs float64 `json:"pause_max_us"`
-	// PrepareMeanUs is the mean off-pause prepare duration (0 for the
-	// serialized mode, which has no off-pause phase).
+	// PrepareMeanUs is the mean off-pause prepare duration.
 	PrepareMeanUs float64 `json:"prepare_mean_us"`
 
 	// Mean per-phase wall time across the measured passes. Renumber and
-	// index run off-pause except in serialized mode; stub and translate
-	// always run inside the pause.
+	// index run off-pause; stub and translate run inside the pause.
 	RenumberMeanUs  float64 `json:"renumber_mean_us"`
 	IndexMeanUs     float64 `json:"index_mean_us"`
 	StubMeanUs      float64 `json:"stub_mean_us"`
@@ -103,11 +99,10 @@ type PauseReport struct {
 	GoMaxProcs int         `json:"gomaxprocs"`
 	NumCPU     int         `json:"num_cpu"`
 	Rows       []PauseRow  `json:"rows"`
-	// P99Ratio maps "edges/delta" to the serialized/incremental and
-	// full/incremental p99 pause ratios — the headline bounded-pause
-	// numbers (present when those modes were both run).
+	// P99RatioFullOverIncr maps "edges/delta" to the full/incremental
+	// p99 pause ratio — the headline bounded-pause number (present when
+	// both modes were run).
 	P99RatioFullOverIncr map[string]float64 `json:"p99_ratio_full_over_incremental,omitempty"`
-	P99RatioSerOverIncr  map[string]float64 `json:"p99_ratio_serialized_over_incremental,omitempty"`
 }
 
 // pauseProgram is the staged topology: main calls every function of a
@@ -211,7 +206,6 @@ func Pause(cfg PauseConfig) (*PauseReport, error) {
 		GoMaxProcs:           runtime.GOMAXPROCS(0),
 		NumCPU:               runtime.NumCPU(),
 		P99RatioFullOverIncr: map[string]float64{},
-		P99RatioSerOverIncr:  map[string]float64{},
 	}
 
 	for _, edges := range cfg.Edges {
@@ -234,13 +228,9 @@ func Pause(cfg PauseConfig) (*PauseReport, error) {
 						row.PauseP99Us, cfg.SLOPauseP99Us, edges, delta)
 				}
 			}
-			key := fmt.Sprintf("%d/%d", edges, delta)
 			if incr, ok := p99ByMode["incremental"]; ok && incr > 0 {
 				if full, ok := p99ByMode["full"]; ok {
-					rep.P99RatioFullOverIncr[key] = full / incr
-				}
-				if ser, ok := p99ByMode["serialized"]; ok {
-					rep.P99RatioSerOverIncr[key] = ser / incr
+					rep.P99RatioFullOverIncr[fmt.Sprintf("%d/%d", edges, delta)] = full / incr
 				}
 			}
 			// The staged programs are large; drop each before building the
@@ -278,8 +268,6 @@ func runPauseMode(pp *pauseProgram, edges, delta int, mode string, reps int) (*P
 			d.ReencodeNow(nil, true)
 		case "full":
 			d.ReencodeNow(nil, false)
-		case "serialized":
-			d.ForceReencode(nil)
 		default:
 			return nil, fmt.Errorf("pause: unknown mode %q", mode)
 		}

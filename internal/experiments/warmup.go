@@ -16,11 +16,8 @@ import (
 // WarmupConfig parameterizes the cold-start scalability suite: a
 // discovery-dense workload run from an empty call graph at 1/2/4/8
 // threads, measuring how fast the runtime handler absorbs the burst of
-// first invocations. Each thread count is measured under the sharded
-// trap path (per-shard graph locks, per-thread publication buffers,
-// coalesced re-encoding) and — with Compare — under the global-lock
-// baseline (SerializedDiscovery), plus a warm-start replay of the same
-// workload from the cold run's snapshot, which must trap zero times.
+// first invocations, plus a warm-start replay of the same workload
+// from the cold run's snapshot, which must trap zero times.
 type WarmupConfig struct {
 	// Threads lists the thread counts to sweep (default 1, 2, 4, 8).
 	Threads []int
@@ -32,11 +29,6 @@ type WarmupConfig struct {
 	// sampling controller's trigger checks are part of the cold-start
 	// path under test, but the suite is not a sampling benchmark).
 	SampleEvery int64
-	// Compare additionally runs every configuration with
-	// core.Options.SerializedDiscovery — every trap through the global
-	// scheme mutex, every trigger firing its own stop-the-world pass —
-	// and reports the sharded/global trap-throughput ratio.
-	Compare bool
 	// NoReplay skips the warm-start replay rows.
 	NoReplay bool
 }
@@ -53,12 +45,9 @@ func (c *WarmupConfig) fill() {
 	}
 }
 
-// WarmupRow is one measured (thread count, mode, phase) configuration.
+// WarmupRow is one measured (thread count, phase) configuration.
 type WarmupRow struct {
 	Threads int `json:"threads"`
-	// Mode is "sharded" (the build under test) or "global" (the
-	// SerializedDiscovery baseline).
-	Mode string `json:"mode"`
 	// Phase is "cold" (empty graph, every edge discovered by trap) or
 	// "replay" (same workload warm-started from the cold run's
 	// marshaled snapshot; must trap zero times).
@@ -95,9 +84,6 @@ type WarmupReport struct {
 	GoMaxProcs int          `json:"gomaxprocs"`
 	NumCPU     int          `json:"num_cpu"`
 	Rows       []WarmupRow  `json:"rows"`
-	// TrapSpeedup maps a thread count to the sharded/global cold-start
-	// trap-throughput ratio (present when Compare is set).
-	TrapSpeedup map[string]float64 `json:"trap_speedup,omitempty"`
 	// ReplayTraps maps a thread count to the handler traps of the
 	// warm-start replay (the persistence gate: must be zero).
 	ReplayTraps map[string]int64 `json:"replay_traps,omitempty"`
@@ -106,8 +92,8 @@ type WarmupReport struct {
 // warmupProfile is the synthetic cold-start workload for n threads: a
 // wide, edge-dense executed core so the first thousands of calls are
 // almost all first invocations, and a thick indirect-site population
-// whose per-site rebuilds are where the sharded path and the global
-// lock differ most. The per-thread call budget is deliberately small —
+// whose per-site rebuilds keep the handler's site shards busy. The
+// per-thread call budget is deliberately small —
 // the suite measures the discovery burst, not the steady state after
 // it.
 func warmupProfile(n int, callsPerThread int64) workload.Profile {
@@ -128,9 +114,11 @@ func warmupProfile(n int, callsPerThread int64) workload.Profile {
 	}
 }
 
-// passClock is a telemetry sink that timestamps re-encoding passes so
-// the suite can report time-to-stable-epoch. Telemetry events carry no
-// wall time (the encoder is clock-free); the suite supplies its own.
+// passClock is a telemetry sink that timestamps committed re-encoding
+// passes so the suite can report time-to-stable-epoch. Telemetry events
+// carry no wall time (the encoder is clock-free); the suite supplies
+// its own. Aborted passes (EvReencodeEnd with Err) changed nothing and
+// are not counted.
 type passClock struct {
 	start time.Time
 
@@ -140,7 +128,7 @@ type passClock struct {
 }
 
 func (c *passClock) Emit(ev telemetry.Event) {
-	if ev.Kind != telemetry.EvReencodeEnd {
+	if ev.Kind != telemetry.EvReencodeEnd || ev.Err {
 		return
 	}
 	c.mu.Lock()
@@ -157,9 +145,6 @@ func Warmup(cfg WarmupConfig) (*WarmupReport, error) {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
-	if cfg.Compare {
-		rep.TrapSpeedup = map[string]float64{}
-	}
 	if !cfg.NoReplay {
 		rep.ReplayTraps = map[string]int64{}
 	}
@@ -171,7 +156,7 @@ func Warmup(cfg WarmupConfig) (*WarmupReport, error) {
 			return nil, err
 		}
 
-		run := func(mode, phase string, d *core.DACCE, clock *passClock) (*WarmupRow, error) {
+		run := func(phase string, d *core.DACCE, clock *passClock) (*WarmupRow, error) {
 			m := w.NewMachine(d, machine.Config{
 				SampleEvery: cfg.SampleEvery,
 				DropSamples: true,
@@ -186,7 +171,6 @@ func Warmup(cfg WarmupConfig) (*WarmupReport, error) {
 			ph := d.PauseHist().Snapshot()
 			row := WarmupRow{
 				Threads:         n,
-				Mode:            mode,
 				Phase:           phase,
 				Calls:           rs.C.Calls,
 				HandlerTraps:    rs.C.HandlerTraps,
@@ -206,12 +190,11 @@ func Warmup(cfg WarmupConfig) (*WarmupReport, error) {
 			return &row, nil
 		}
 
-		// Sharded cold start: empty graph, every edge enters through the
+		// Cold start: empty graph, every edge enters through the
 		// batched trap path.
 		clock := &passClock{}
 		d := core.New(w.P, core.Options{Sink: telemetry.Filter(clock, telemetry.EvReencodeEnd)})
-		cold, err := run("sharded", "cold", d, clock)
-		if err != nil {
+		if _, err := run("cold", d, clock); err != nil {
 			return nil, err
 		}
 
@@ -233,29 +216,11 @@ func Warmup(cfg WarmupConfig) (*WarmupReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			replay, err := run("sharded", "replay", d2, &passClock{})
+			replay, err := run("replay", d2, &passClock{})
 			if err != nil {
 				return nil, err
 			}
 			rep.ReplayTraps[fmt.Sprint(n)] = replay.HandlerTraps
-		}
-
-		// Global-lock baseline: the identical cold start with every trap
-		// serialized on the scheme mutex and every trigger firing paying
-		// its own stop-the-world pass.
-		if cfg.Compare {
-			gclock := &passClock{}
-			dg := core.New(w.P, core.Options{
-				SerializedDiscovery: true,
-				Sink:                telemetry.Filter(gclock, telemetry.EvReencodeEnd),
-			})
-			global, err := run("global", "cold", dg, gclock)
-			if err != nil {
-				return nil, err
-			}
-			if global.TrapsPerSec > 0 {
-				rep.TrapSpeedup[fmt.Sprint(n)] = cold.TrapsPerSec / global.TrapsPerSec
-			}
 		}
 	}
 	return rep, nil

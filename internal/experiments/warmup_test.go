@@ -5,24 +5,22 @@ import (
 	"sort"
 	"testing"
 
-	"dacce/internal/blenc"
 	"dacce/internal/core"
 	"dacce/internal/graph"
 	"dacce/internal/machine"
 	"dacce/internal/persist"
-	"dacce/internal/prog"
 	"dacce/internal/workload"
 )
 
-// coldRun executes the profile's workload on a fresh encoder in the
-// given discovery mode and returns the warmed encoder and run stats.
-func coldRun(t *testing.T, pr workload.Profile, serialized bool) (*core.DACCE, *workload.Workload, *machine.RunStats) {
+// coldRun executes the profile's workload on a fresh encoder and
+// returns the warmed encoder and run stats.
+func coldRun(t *testing.T, pr workload.Profile) (*core.DACCE, *workload.Workload, *machine.RunStats) {
 	t.Helper()
 	w, err := workload.Build(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := core.New(w.P, core.Options{SerializedDiscovery: serialized})
+	d := core.New(w.P, core.Options{})
 	m := w.NewMachine(d, machine.Config{SampleEvery: 31})
 	rs, err := m.Run()
 	if err != nil {
@@ -31,99 +29,73 @@ func coldRun(t *testing.T, pr workload.Profile, serialized bool) (*core.DACCE, *
 	return d, w, rs
 }
 
-// edgeSet returns the graph's registered edge keys, sorted.
-func edgeSet(g *graph.Graph) []graph.EdgeKey {
-	keys := make([]graph.EdgeKey, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		keys = append(keys, graph.EdgeKey{Site: e.Site, Target: e.Target})
-	}
+// sortKeys orders edge keys by (site, target).
+func sortKeys(keys []graph.EdgeKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Site != keys[j].Site {
 			return keys[i].Site < keys[j].Site
 		}
 		return keys[i].Target < keys[j].Target
 	})
+}
+
+// edgeSet returns the graph's registered edge keys, sorted.
+func edgeSet(g *graph.Graph) []graph.EdgeKey {
+	keys := make([]graph.EdgeKey, 0, len(g.Edges))
+	for _, e := range g.Edges {
+		keys = append(keys, graph.EdgeKey{Site: e.Site, Target: e.Target})
+	}
+	sortKeys(keys)
 	return keys
 }
 
-// canonicalDict re-encodes the graph's edge set from a canonical
-// rebuild: edges inserted in sorted (site, target) order with no
-// frequency heat and no hot-first ordering. Two graphs with the same
-// edge set always canonicalize to the identical assignment, whatever
-// order concurrent discovery registered their edges in.
-func canonicalDict(g *graph.Graph, p *prog.Program) *blenc.Assignment {
-	clone := graph.New(p)
-	for _, r := range g.Roots() {
-		clone.AddRoot(r)
-	}
-	for _, k := range edgeSet(g) {
-		clone.AddEdge(k.Site, k.Target)
-	}
-	return blenc.Encode(clone, blenc.Options{NoHotOrder: true})
-}
-
-// diffColdStart runs the profile cold under the sharded trap path and
-// under the serialized baseline and returns a description of the first
-// mismatch between the two outcomes, or "" when they agree.
-func diffColdStart(t *testing.T, pr workload.Profile) string {
+// diffColdStart checks a cold run's discoveries against ground truth:
+// the workload's executed edge set, taken from an edge-counting
+// profiling run under the same machine seed, which no DACCE path
+// touches. Both the registered graph and the discovered-edge counter
+// must match it exactly. Returns a description of the first mismatch,
+// or "" when they agree. No dictionary is compared: a canonical
+// encoding is a function of the edge set and the roots, and
+// TestConcurrentColdStart's sample-vs-shadow decodes cover the roots.
+func diffColdStart(t *testing.T, d *core.DACCE, w *workload.Workload) string {
 	t.Helper()
-	ds, ws, _ := coldRun(t, pr, false)
-	dg, wg, _ := coldRun(t, pr, true)
-
-	gs, gg := ds.Graph(), dg.Graph()
-	es, eg := edgeSet(gs), edgeSet(gg)
-	if len(es) != len(eg) {
-		return fmt.Sprintf("edge sets differ: sharded %d edges, serialized %d", len(es), len(eg))
+	prof, err := w.CollectProfile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range es {
-		if es[i] != eg[i] {
-			return fmt.Sprintf("edge sets differ at %d: sharded %v, serialized %v", i, es[i], eg[i])
+	want := make([]graph.EdgeKey, 0, len(prof))
+	for k := range prof {
+		want = append(want, k)
+	}
+	sortKeys(want)
+	got := edgeSet(d.Graph())
+	if len(got) != len(want) {
+		return fmt.Sprintf("edge sets differ: discovered %d edges, executed %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Sprintf("edge sets differ at %d: discovered %v, executed %v", i, got[i], want[i])
 		}
 	}
-	if ss, sg := ds.Stats(), dg.Stats(); ss.EdgesDiscovered != len(es) || sg.EdgesDiscovered != len(eg) {
-		return fmt.Sprintf("discovered-edge counters off: sharded %d, serialized %d, want %d",
-			ss.EdgesDiscovered, sg.EdgesDiscovered, len(es))
-	}
-
-	// The live dictionaries may encode in different hot orders (the
-	// runs pass at different times, so per-edge heat differs at
-	// snapshot), but the context-count structure they assign is a
-	// function of the graph alone.
-	as, ag := canonicalDict(gs, ws.P), canonicalDict(gg, wg.P)
-	if as.MaxID != ag.MaxID {
-		return fmt.Sprintf("canonical MaxID differs: sharded %d, serialized %d", as.MaxID, ag.MaxID)
-	}
-	if len(as.NumCC) != len(ag.NumCC) {
-		return fmt.Sprintf("canonical NumCC sizes differ: sharded %d, serialized %d", len(as.NumCC), len(ag.NumCC))
-	}
-	for fn, n := range as.NumCC {
-		if ag.NumCC[fn] != n {
-			return fmt.Sprintf("canonical NumCC[f%d] differs: sharded %d, serialized %d", fn, n, ag.NumCC[fn])
-		}
-	}
-	for k, c := range as.Codes {
-		if ag.Codes[k] != c {
-			return fmt.Sprintf("canonical code for %v differs: sharded %v, serialized %v", k, c, ag.Codes[k])
-		}
+	if n := d.Stats().EdgesDiscovered; n != len(want) {
+		return fmt.Sprintf("discovered-edge counter = %d, executed edges = %d", n, len(want))
 	}
 	return ""
 }
 
-// TestConcurrentColdStart is the tentpole's correctness gate: four
+// TestConcurrentColdStart is the cold-start correctness gate: four
 // goroutine threads trap the same cold graph through the sharded
-// discovery path (run under -race in CI), and the final graph and
-// canonical dictionary must match the serialized baseline run bit for
-// bit. The sharded run's samples must decode against the machine's
-// shadow stacks, and a warm start from its snapshot must replay the
-// identical workload with zero handler traps.
+// discovery path (run under -race in CI), and the final graph must hold
+// exactly the workload's executed edges. The run's samples must decode
+// against the machine's shadow stacks, and a warm start from its
+// snapshot must replay the identical workload with zero handler traps.
 func TestConcurrentColdStart(t *testing.T) {
 	pr := warmupProfile(4, 6_000)
 	pr.Name = "coldstart-race"
-	if d := diffColdStart(t, pr); d != "" {
-		t.Fatal(d)
+	d, w, rs := coldRun(t, pr)
+	if msg := diffColdStart(t, d, w); msg != "" {
+		t.Fatal(msg)
 	}
-
-	d, _, rs := coldRun(t, pr, false)
 	if rs.C.HandlerTraps == 0 {
 		t.Fatal("cold run executed no handler traps; the test exercised nothing")
 	}
@@ -197,11 +169,10 @@ func sweepProfile(seed uint64) workload.Profile {
 	}
 }
 
-// TestColdStartSeedSweep is the differential sweep from the acceptance
-// gate: a thousand seeded workload shapes, each discovered cold by
-// concurrent sharded threads and by the serialized baseline, must agree
-// on the final graph and canonical dictionary with zero divergences.
-// -short runs a spot-check slice.
+// TestColdStartSeedSweep is the cold-start differential sweep: a
+// thousand seeded workload shapes, each discovered cold by concurrent
+// threads, must register exactly the executed edge set with zero
+// divergences. -short runs a spot-check slice.
 func TestColdStartSeedSweep(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -209,9 +180,10 @@ func TestColdStartSeedSweep(t *testing.T) {
 	}
 	divergences := 0
 	for seed := uint64(0); seed < uint64(seeds); seed++ {
-		if d := diffColdStart(t, sweepProfile(seed)); d != "" {
+		d, w, _ := coldRun(t, sweepProfile(seed))
+		if msg := diffColdStart(t, d, w); msg != "" {
 			divergences++
-			t.Errorf("seed %d: %s", seed, d)
+			t.Errorf("seed %d: %s", seed, msg)
 			if divergences >= 5 {
 				t.Fatalf("%d divergences; stopping the sweep early", divergences)
 			}

@@ -143,7 +143,7 @@ func New(p *prog.Program, prof Profile, opt Options) *Scheme {
 	}
 
 	s.asn = blenc.Encode(s.g, blenc.Options{Budget: opt.Budget})
-	s.dec = &core.Decoder{P: p, G: s.g, Dicts: []*blenc.Assignment{s.asn}}
+	s.dec = core.NewDecoder(p, s.g, []*blenc.Assignment{s.asn})
 	s.buildStubs(prof)
 	return s
 }

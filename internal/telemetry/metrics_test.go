@@ -163,6 +163,8 @@ func TestMetricsSink(t *testing.T) {
 	}
 	m.Emit(Event{Kind: EvReencodeEnd, Reason: ReasonNewEdges, Epoch: 1, Value: 9000, Aux: 77})
 	m.Emit(Event{Kind: EvReencodeEnd, Reason: ReasonCCOps, Epoch: 2, Value: 100, Aux: 80})
+	// An aborted pass closes its span but publishes nothing.
+	m.Emit(Event{Kind: EvReencodeEnd, Reason: ReasonNewEdges, Epoch: 7, Aux: 999, Err: true, DurNanos: 5})
 	m.Emit(Event{Kind: EvCCStackPush, Value: 4})
 	m.Emit(Event{Kind: EvCCStackPop, Value: 3})
 	m.Emit(Event{Kind: EvHandlerTrap, Site: 5})

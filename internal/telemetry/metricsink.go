@@ -119,6 +119,9 @@ func (m *Metrics) Emit(ev Event) {
 	case EvReencodeStart:
 		// Counted at end so aborted passes never show.
 	case EvReencodeEnd:
+		if ev.Err {
+			return // aborted: the pass published no epoch
+		}
 		if c := m.reencode[ev.Reason]; c != nil {
 			c.Inc()
 		}

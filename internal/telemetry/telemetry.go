@@ -39,19 +39,22 @@ const (
 	EvEdgeDiscovered
 	// EvReencodeStart: a re-encoding pass is starting. Reason carries
 	// the trigger; Epoch is the epoch being left; Value is the graph's
-	// edge count. On the classic serialized path the world is already
-	// stopped at this point; on the concurrent-prepare path it is still
-	// running and only stops after EvReencodePrepared.
+	// edge count. The world is still running; it stops only after
+	// EvReencodePrepared. Every start is paired with exactly one
+	// EvReencodeEnd on the same thread.
 	EvReencodeStart
-	// EvReencodePrepared: a concurrent pass finished computing the new
-	// assignment and decode index off-pause and is about to stop the
-	// world. Epoch is the epoch being left; Value is the number of
-	// changed edges, Aux the number of renumbered edges; DurNanos the
-	// prepare duration.
+	// EvReencodePrepared: a pass finished computing the new assignment
+	// and decode index off-pause and is about to stop the world. Epoch
+	// is the epoch being left; Value is the number of changed edges, Aux
+	// the number of renumbered edges; DurNanos the prepare duration.
 	EvReencodePrepared
 	// EvReencodeEnd: the pass finished. Reason matches the start event;
 	// Epoch is the new epoch; Value is the pass's model cost in cycles;
-	// Aux is the new maxID; DurNanos the stop-the-world pause.
+	// Aux is the new maxID; DurNanos the stop-the-world pause. Err marks
+	// an aborted adaptive pass: another pass published an epoch while
+	// this one prepared, and its triggers no longer fired, so it
+	// published nothing — Epoch and Aux are the current epoch and maxID
+	// and Value is 0.
 	EvReencodeEnd
 	// EvCCStackPush: an unencoded or recursive call pushed on the
 	// ccStack. Site/Fn name the edge; Value is the depth after the push.
@@ -191,7 +194,8 @@ type Event struct {
 	Fn prog.FuncID
 	// Reason is the re-encoding trigger for reencode events.
 	Reason Reason
-	// Err marks failed decode requests.
+	// Err marks failures: failed decode requests, aborted re-encoding
+	// passes, divergences and SLO breaches.
 	Err bool
 	// Value and Aux carry kind-specific quantities.
 	Value uint64

@@ -263,8 +263,7 @@ func BenchmarkOnSample(b *testing.B) {
 
 // BenchmarkSteadyScaling runs a reduced steady-state suite per thread
 // count: warm-up on a fresh encoder, then the steady run whose
-// throughput is reported. The full sweep with the serialized
-// comparison is `daccebench steady`.
+// throughput is reported. The full sweep is `daccebench steady`.
 func BenchmarkSteadyScaling(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%dthreads", n), func(b *testing.B) {
