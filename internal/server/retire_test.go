@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 
 	"dacce/internal/ccdag"
 	"dacce/internal/core"
+	"dacce/internal/prog"
 )
 
 // decodeJSONBody decodes and closes an HTTP response body, failing the
@@ -107,7 +110,7 @@ func TestRetireEpochBoundsMemoAndDAG(t *testing.T) {
 	}
 }
 
-// TestMemoizableWithCC checks the CC-suffix-hash key: captures carrying
+// TestMemoizableWithCC checks the exact ccStack key: captures carrying
 // a non-empty ccStack are memoizable now, a repeat pass serves them
 // from the memo, and distinct ccStacks never collide onto one entry.
 func TestMemoizableWithCC(t *testing.T) {
@@ -184,8 +187,9 @@ func TestMemoMissRaceAccounting(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var key []byte
 			tn.genMu.RLock()
-			n, err := tn.decodeNode(target)
+			n, err := tn.decodeNode(target, &key)
 			tn.genMu.RUnlock()
 			if err != nil {
 				t.Error(err)
@@ -206,5 +210,94 @@ func TestMemoMissRaceAccounting(t *testing.T) {
 	}
 	if hits+misses != goroutines {
 		t.Fatalf("hits %d + misses %d != %d decodes", hits, misses, goroutines)
+	}
+}
+
+// TestMemoKeysExact: the memo keys on a capture's exact decode input.
+// A variant of a memoized ccStack capture that differs in one ccStack
+// field — ID, Site, Target, Count or Rec — gets the answer the
+// in-process encoder gives it, never the memoized capture's: a variant
+// that decodes gets its own memo entry and its own frames, and one that
+// does not decode gets an error. The fixture has no one-field ID or
+// Count variant that decodes (its saved ids sit in the marker range and
+// no entry is compressed), so those two fields take the error path.
+func TestMemoKeysExact(t *testing.T) {
+	f := newServeFixture(t, Config{}, 60_000, 17)
+	tn := f.srv.resolve("serve")
+	mutations := []struct {
+		field string
+		set   func(e *core.CCEntry, k int)
+	}{
+		{"ID", func(e *core.CCEntry, k int) { e.ID = uint64(k) }},
+		{"Site", func(e *core.CCEntry, k int) { e.Site = prog.SiteID(k) }},
+		{"Target", func(e *core.CCEntry, k int) { e.Target = prog.FuncID(k) }},
+		{"Count", func(e *core.CCEntry, k int) { e.Count = uint32(k) }},
+		{"Rec", func(e *core.CCEntry, k int) { e.Rec = k%2 == 1 }},
+	}
+	var withCC []*core.Capture
+	for _, c := range f.captures {
+		if len(c.CC) > 0 && c.Spawn == nil && len(withCC) < 200 {
+			withCC = append(withCC, c)
+		}
+	}
+	if len(withCC) == 0 {
+		t.Fatal("fixture has no spawn-free ccStack captures")
+	}
+	for _, m := range mutations {
+		// Prefer a variant the in-process encoder decodes; else take the
+		// first one that differs.
+		var base, variant *core.Capture
+		var want core.Context
+	search:
+		for _, c := range withCC {
+			for j := range c.CC {
+				for k := range 200 {
+					v := *c
+					v.CC = slices.Clone(c.CC)
+					m.set(&v.CC[j], k)
+					if v.CC[j] == c.CC[j] {
+						continue
+					}
+					ctx, err := f.d.Decode(&v)
+					if base == nil || err == nil {
+						base, variant, want = c, &v, ctx
+					}
+					if err == nil {
+						break search
+					}
+				}
+			}
+		}
+		if bytes.Equal(appendMemoKey(nil, base), appendMemoKey(nil, variant)) {
+			t.Fatalf("%s: variant shares the memoized capture's key", m.field)
+		}
+		if _, dr := f.decode(t, "serve", []*core.Capture{base}); dr == nil || dr.Results[0].Error != "" {
+			t.Fatalf("%s: memoizing the base capture failed", m.field)
+		}
+		misses, size := tn.memoMisses.Load(), tn.memoSize.Load()
+		_, dr := f.decode(t, "serve", []*core.Capture{variant})
+		if dr == nil {
+			t.Fatalf("%s: variant request failed", m.field)
+		}
+		res := dr.Results[0]
+		if want == nil {
+			if res.Error == "" || tn.memoSize.Load() != size {
+				t.Fatalf("%s: undecodable variant answered %d frames (error %q), memo %d → %d",
+					m.field, len(res.Frames), res.Error, size, tn.memoSize.Load())
+			}
+			continue
+		}
+		if tn.memoMisses.Load() != misses+1 || tn.memoSize.Load() != size+1 {
+			t.Fatalf("%s: variant did not get its own memo entry (misses %d → %d, size %d → %d)",
+				m.field, misses, tn.memoMisses.Load(), size, tn.memoSize.Load())
+		}
+		if res.Error != "" || len(res.Frames) != len(want) {
+			t.Fatalf("%s: variant answered %d frames (error %q), in-process %d", m.field, len(res.Frames), res.Error, len(want))
+		}
+		for i, fr := range res.Frames {
+			if fr.Site != want[i].Site || fr.Fn != want[i].Fn {
+				t.Fatalf("%s: variant frame %d is (s%d,f%d), in-process (s%d,f%d)", m.field, i, fr.Site, fr.Fn, want[i].Site, want[i].Fn)
+			}
+		}
 	}
 }

@@ -23,6 +23,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -81,6 +82,9 @@ type tenant struct {
 	st  *core.EncoderState
 	raw []byte
 
+	// wire holds the tenant's pre-escaped /v1/decode response fragments.
+	wire wireNames
+
 	// prof aggregates every context this tenant decodes into a live
 	// calling-context profile, served from /debug/ccprof. profShard
 	// spreads concurrent requests across accumulation shards.
@@ -103,13 +107,13 @@ type tenant struct {
 	// memo caches fully-determined decodes, bucketed by capture epoch so
 	// RetireEpoch drops a retired epoch's entries by unlinking its
 	// bucket — O(1) per epoch, not a scan. A capture with no spawn chain
-	// decodes to exactly one context per (epoch, id, fn, root, ccStack);
-	// the ccStack's content enters the key as a 64-bit FNV suffix hash
-	// (ccSuffixHash), which the memo treats as injective — the standard
-	// content-hash assumption. Captures with a spawn prefix carry decode
-	// input outside the key and are never memoized.
+	// decodes to exactly one context per (epoch, id, fn, root, ccStack),
+	// and the bucket key is that input itself (appendMemoKey), so a hit
+	// means an identical, already validated capture. Captures with a
+	// spawn prefix carry decode input outside the key and are never
+	// memoized.
 	memoMu     sync.RWMutex
-	memo       map[uint32]map[memoKey]*ccdag.Node
+	memo       map[uint32]map[string]*ccdag.Node
 	memoSize   atomic.Int64 // live entries across all epoch buckets
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
@@ -126,66 +130,25 @@ type tenant struct {
 	rejected atomic.Int64
 }
 
-// memoKey identifies one fully-determined decode within its epoch
-// bucket: with no spawn prefix, (id, fn, root) plus the ccStack's
-// content hash are the entire decode input. The epoch is the bucket
-// index, not a key field.
-type memoKey struct {
-	id   uint64
-	fn   prog.FuncID
-	root prog.FuncID
-	cc   uint64 // ccSuffixHash of the capture's ccStack
-}
-
-// ccSuffixHash folds a capture's ccStack — length and every entry,
-// recursion bit included — into the 64-bit FNV the memo keys on, the
-// same mix Capture.Fingerprint uses. An empty stack hashes to the FNV
-// offset basis, so empty-ccStack captures keep one stable key.
-func ccSuffixHash(c *core.Capture) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	mix(uint64(len(c.CC)))
-	for _, e := range c.CC {
-		mix(e.ID)
-		mix(uint64(uint32(e.Site)))
-		mix(uint64(uint32(e.Target)))
-		v := uint64(e.Count)
-		if e.Rec {
-			v |= 1 << 63
-		}
-		mix(v)
-	}
-	return h
-}
-
 // memoizable reports whether a capture's decode is determined by its
-// (epoch bucket, memoKey) pair alone. Only a spawn prefix disqualifies:
-// the spawn chain is a linked structure of further captures whose
-// content the key cannot bound; ccStacks are hashed into the key.
+// epoch and memo key alone. Only a spawn prefix disqualifies: the spawn
+// chain is a linked structure of further captures the key leaves out.
 func memoizable(c *core.Capture) bool {
 	return c.Spawn == nil
 }
 
 // decodeNode resolves a capture to its interned context node, through
-// the memo when the capture is memoizable. Caller holds t.genMu.RLock
-// (handleDecode takes it per batch), so no retirement can sweep the
-// DAG mid-walk.
-func (t *tenant) decodeNode(c *core.Capture) (*ccdag.Node, error) {
+// the memo when the capture is memoizable. The memo key is built in
+// *key, the caller's scratch; only an insert copies it. Caller holds
+// t.genMu.RLock (handleDecode takes it per batch), so no retirement can
+// sweep the DAG mid-walk.
+func (t *tenant) decodeNode(c *core.Capture, key *[]byte) (*ccdag.Node, error) {
 	if !memoizable(c) {
 		return t.dec.DecodeNode(t.dag, c)
 	}
-	key := memoKey{id: c.ID, fn: c.Fn, root: c.Root, cc: ccSuffixHash(c)}
+	*key = appendMemoKey((*key)[:0], c)
 	t.memoMu.RLock()
-	n, ok := t.memo[c.Epoch][key]
+	n, ok := t.memo[c.Epoch][string(*key)]
 	t.memoMu.RUnlock()
 	if ok {
 		t.memoHits.Add(1)
@@ -202,15 +165,15 @@ func (t *tenant) decodeNode(c *core.Capture) (*ccdag.Node, error) {
 	t.memoMu.Lock()
 	b := t.memo[c.Epoch]
 	if b == nil {
-		b = map[memoKey]*ccdag.Node{}
+		b = map[string]*ccdag.Node{}
 		t.memo[c.Epoch] = b
 	}
-	if prev, ok := b[key]; ok {
+	if prev, ok := b[string(*key)]; ok {
 		t.memoMu.Unlock()
 		t.memoHits.Add(1)
 		return prev, nil
 	}
-	b[key] = n
+	b[string(*key)] = n
 	t.memoMu.Unlock()
 	t.memoSize.Add(1)
 	t.memoMisses.Add(1)
@@ -410,7 +373,8 @@ func (s *Server) Register(name string, data []byte) (string, error) {
 		raw:   data,
 		prof:  ccprof.NewStreaming(dec.P),
 		dag:   ccdag.New(),
-		memo:  map[uint32]map[memoKey]*ccdag.Node{},
+		wire:  newWireNames(name, hash, dec.P.Funcs),
+		memo:  map[uint32]map[string]*ccdag.Node{},
 		slots: make(chan struct{}, s.cfg.MaxConcurrent),
 	}
 	s.mu.Lock()
@@ -474,7 +438,8 @@ func (s *Server) release(t *tenant) { <-t.slots }
 
 // DecodeRequest is the /v1/decode request body. Captures use the same
 // JSON shape daccerun -dump writes (core.Capture's field names), so a
-// captures.json can be posted as-is.
+// captures.json can be posted as-is. The server reads it with the strict
+// parser in wire.go, which accepts a subset of encoding/json's input.
 type DecodeRequest struct {
 	// Tenant is a program name or name@hash key.
 	Tenant string `json:"tenant"`
@@ -496,7 +461,8 @@ type DecodeResult struct {
 }
 
 // DecodeResponse is the /v1/decode response body. Results are parallel
-// to the request's captures.
+// to the request's captures. The server appends its bytes directly
+// (wire.go) without building one; they equal json.Encoder's output.
 type DecodeResponse struct {
 	Tenant  string         `json:"tenant"`
 	Hash    string         `json:"hash"`
@@ -571,8 +537,13 @@ func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v a
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeError answers {"error": message}, the bytes json.Encoder would
+// write for it.
 func (s *Server) writeError(w http.ResponseWriter, endpoint string, code int, format string, args ...any) {
-	s.writeJSON(w, endpoint, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+	s.count(endpoint, code)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(append(appendErrorObject(nil, fmt.Sprintf(format, args...)), '\n'))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -582,15 +553,28 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, "healthz", http.StatusOK, map[string]any{"status": "ok", "tenants": n})
 }
 
+// handleDecode serves POST /v1/decode. The body is parsed by the wire
+// codec into pooled slabs and the response is appended straight from
+// each decoded node; see wire.go for the accepted grammar.
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	const ep = "decode"
 	if r.Method != http.MethodPost {
 		s.writeError(w, ep, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	wb := wirePool.Get().(*wireBuf)
+	defer wb.release()
+	if _, err := wb.body.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.writeError(w, ep, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
+		s.writeError(w, ep, http.StatusBadRequest, "reading request: %v", err)
+		return
+	}
 	var req DecodeRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := wb.parseRequest(&req); err != nil {
 		s.writeError(w, ep, http.StatusBadRequest, "parsing request: %v", err)
 		return
 	}
@@ -620,45 +604,39 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	// batch; round-robin over the slot count keeps concurrent requests
 	// off each other's shard locks.
 	shard := int(t.profShard.Add(1)-1) % s.cfg.MaxConcurrent
-	resp := DecodeResponse{
-		Tenant:  t.name,
-		Hash:    t.hash,
-		Results: make([]DecodeResult, 0, len(req.Captures)),
-	}
-	// mctx is the batch's node-materialization buffer, reused across
-	// captures. The whole batch runs under the tenant's retirement
-	// read-lock: a concurrent RetireEpoch drains the batch instead of
-	// sweeping a chain some capture here is mid-walk on.
-	var mctx core.Context
+	// The whole batch runs under the tenant's retirement read-lock: a
+	// concurrent RetireEpoch drains the batch instead of sweeping a
+	// chain some capture here is mid-walk on.
+	out := append(wb.out[:0], t.wire.head...)
 	t.genMu.RLock()
-	for _, c := range req.Captures {
-		var res DecodeResult
-		if c == nil {
-			res.Error = "null capture"
-		} else if n, err := t.decodeNode(c); err != nil {
-			res.Error = err.Error()
-		} else {
-			t.prof.ObserveContextNode(shard, n)
-			mctx = core.AppendNodeContext(mctx, n)
-			res.Frames = make([]Frame, 0, len(mctx))
-			for _, f := range mctx {
-				res.Frames = append(res.Frames, Frame{
-					Site: f.Site, Fn: f.Fn, Name: t.dec.P.Funcs[f.Fn].Name,
-				})
-			}
+	for i, c := range req.Captures {
+		if i > 0 {
+			out = append(out, ',')
 		}
-		if res.Error != "" {
+		var n *ccdag.Node
+		err := errNullCapture
+		if c != nil {
+			n, err = t.decodeNode(c, &wb.key)
+		}
+		if err != nil {
+			out = appendErrorObject(out, err.Error())
 			t.errors.Add(1)
 			s.mErrors.Inc()
-		} else {
-			t.decoded.Add(1)
-			s.mDecoded.Inc()
+			continue
 		}
-		resp.Results = append(resp.Results, res)
+		t.prof.ObserveContextNode(shard, n)
+		wb.ctx = core.AppendNodeContext(wb.ctx, n)
+		out = t.wire.appendFrames(out, wb.ctx)
+		t.decoded.Add(1)
+		s.mDecoded.Inc()
 	}
 	t.genMu.RUnlock()
+	wb.out = append(out, "]}\n"...)
 	s.mLatency.Observe(time.Since(start).Microseconds())
-	s.writeJSON(w, ep, http.StatusOK, &resp)
+	s.count(ep, http.StatusOK)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(wb.out)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {

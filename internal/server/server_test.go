@@ -29,7 +29,7 @@ type serveFixture struct {
 	ts       *httptest.Server
 }
 
-func newServeFixture(t *testing.T, cfg Config, totalCalls, sampleEvery int64) *serveFixture {
+func newServeFixture(t testing.TB, cfg Config, totalCalls, sampleEvery int64) *serveFixture {
 	t.Helper()
 	w, err := workload.Build(workload.Profile{
 		Name:          "serve",

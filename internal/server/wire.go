@@ -1,0 +1,806 @@
+package server
+
+// The /v1/decode codec. Requests are parsed by a strict single-pass
+// parser straight into per-request slabs, and responses are appended
+// into a reused byte slice from per-tenant pre-escaped fragments, so a
+// warm batch costs a constant number of allocations whatever its size.
+// The wire contract is DecodeRequest/DecodeResponse: the parser
+// accepts a subset of what encoding/json accepts and yields the
+// identical DecodeRequest wherever it accepts, and the writer's bytes
+// equal json.NewEncoder(w).Encode of the DecodeResponse.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"slices"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+	"unsafe"
+
+	"dacce/internal/core"
+	"dacce/internal/prog"
+)
+
+// maxNesting is encoding/json's nesting limit: the parser rejects a
+// body nested deeper, so its recursion depth is bounded however large
+// the body is.
+const maxNesting = 10000
+
+// errNullCapture is the result of a null element of the captures array.
+var errNullCapture = errors.New("null capture")
+
+// maxPooledBytes bounds the footprint of a wireBuf returned to the
+// pool, so one huge batch does not pin its buffers for later requests.
+const maxPooledBytes = 8 << 20
+
+// wireBuf is one /v1/decode request's reusable state: the body, the
+// slabs the parsed captures live in, the memo-key and materialization
+// scratch, and the response bytes. Everything the parsed DecodeRequest
+// points at is owned here and valid until release.
+type wireBuf struct {
+	body  bytes.Buffer
+	caps  []core.Capture  // top-level captures, in request order, nulls skipped
+	slots []capSlot       // one per captures element
+	ptrs  []*core.Capture // DecodeRequest.Captures
+	cc    []core.CCEntry  // ccStacks of the top-level captures
+	key   []byte          // memo key of the capture being decoded
+	ctx   core.Context    // materialized frames of the capture being written
+	out   []byte          // response body
+}
+
+// capSlot places one element of the captures array in the slabs:
+// capture index (-1 for null) and CC range (ccLo -1 when CC is absent
+// or null). Slabs move while they grow, so pointers are taken only once
+// the array is complete.
+type capSlot struct {
+	cap, ccLo, ccHi int
+}
+
+var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// reset empties the buffer for the next request, dropping the spawn
+// chains the capture slab points at.
+func (wb *wireBuf) reset() {
+	clear(wb.caps)
+	clear(wb.ptrs)
+	wb.body.Reset()
+	wb.caps, wb.slots, wb.ptrs = wb.caps[:0], wb.slots[:0], wb.ptrs[:0]
+	wb.cc, wb.key, wb.ctx, wb.out = wb.cc[:0], wb.key[:0], wb.ctx[:0], wb.out[:0]
+}
+
+// release returns the buffer to the pool unless its footprint exceeds
+// maxPooledBytes.
+func (wb *wireBuf) release() {
+	size := wb.body.Cap() + cap(wb.key) + cap(wb.out) +
+		cap(wb.caps)*int(unsafe.Sizeof(core.Capture{})) +
+		cap(wb.slots)*int(unsafe.Sizeof(capSlot{})) +
+		cap(wb.ptrs)*int(unsafe.Sizeof(&core.Capture{})) +
+		cap(wb.cc)*int(unsafe.Sizeof(core.CCEntry{})) +
+		cap(wb.ctx)*int(unsafe.Sizeof(core.ContextFrame{}))
+	if size > maxPooledBytes {
+		return
+	}
+	wb.reset()
+	wirePool.Put(wb)
+}
+
+// parseRequest parses wb.body into req. The grammar is JSON with these
+// restrictions: the body is exactly one value, with nothing but
+// whitespace after it; keys are plain ASCII without escapes, matched to
+// field names exactly or ASCII-case-insensitively; a field appears at
+// most once per object; integer fields take integers in range (no
+// fraction, no exponent, no sign on unsigned fields); nesting stops at
+// maxNesting. Unknown keys are validated and skipped, and null leaves a
+// field zero. Captures other than spawn chains land in wb's slabs.
+func (wb *wireBuf) parseRequest(req *DecodeRequest) error {
+	p := parser{b: wb.body.Bytes(), wb: wb}
+	*req = DecodeRequest{}
+	if err := p.request(req); err != nil {
+		return err
+	}
+	if p.ws(); p.i < len(p.b) {
+		return p.fail("trailing data after the request object")
+	}
+	return nil
+}
+
+// parser is the request parser's cursor over one body.
+type parser struct {
+	b     []byte
+	i     int
+	depth int
+	wb    *wireBuf
+}
+
+func (p *parser) fail(format string, args ...any) error {
+	return fmt.Errorf("offset %d: %s", p.i, fmt.Sprintf(format, args...))
+}
+
+func (p *parser) ws() {
+	for ; p.i < len(p.b) && p.b[p.i] <= ' '; p.i++ {
+		switch p.b[p.i] {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return
+		}
+	}
+}
+
+// peek skips whitespace and returns the next byte, 0 at the end.
+func (p *parser) peek() byte {
+	if p.ws(); p.i < len(p.b) {
+		return p.b[p.i]
+	}
+	return 0
+}
+
+// literal consumes lit, which the caller has peeked the first byte of.
+func (p *parser) literal(lit string) error {
+	if len(p.b)-p.i < len(lit) || string(p.b[p.i:p.i+len(lit)]) != lit {
+		return p.fail("invalid literal, want %s", lit)
+	}
+	p.i += len(lit)
+	return nil
+}
+
+// null consumes a null literal if one comes next.
+func (p *parser) null() (bool, error) {
+	if p.peek() != 'n' {
+		return false, nil
+	}
+	return true, p.literal("null")
+}
+
+// open consumes a container's opening byte, which must come next.
+func (p *parser) open(c byte) error {
+	if p.peek() != c {
+		return p.fail("expected %q", c)
+	}
+	p.i++
+	if p.depth++; p.depth > maxNesting {
+		return p.fail("nesting deeper than %d", maxNesting)
+	}
+	return nil
+}
+
+// next moves to a container's next element: it consumes the comma
+// before every element but the first (n is the element's index), or
+// the closing byte end and reports false.
+func (p *parser) next(end byte, n int) (bool, error) {
+	c := p.peek()
+	if c == end {
+		p.i++
+		p.depth--
+		return false, nil
+	}
+	if n > 0 {
+		if c != ',' {
+			return false, p.fail("expected ',' or %q", end)
+		}
+		p.i++
+	}
+	return true, nil
+}
+
+// key reads an object key and its colon. Keys must be plain ASCII with
+// no escapes: encoding/json unescapes keys and folds non-ASCII ones by
+// Unicode rules (ſpawn matches Spawn), which this parser does not copy.
+func (p *parser) key() ([]byte, error) {
+	if p.peek() != '"' {
+		return nil, p.fail("expected an object key")
+	}
+	b, start := p.b, p.i+1
+	i := start
+	for ; i < len(b) && b[i] != '"'; i++ {
+		if c := b[i]; c < 0x20 || c == '\\' || c >= utf8.RuneSelf {
+			p.i = i
+			return nil, p.fail("key must be plain ASCII")
+		}
+	}
+	if p.i = i + 1; i == len(b) {
+		return nil, p.fail("unterminated key")
+	}
+	if p.peek() != ':' {
+		return nil, p.fail("expected ':'")
+	}
+	p.i++
+	return b[start:i], nil
+}
+
+// exactKey consumes `"name":` if it comes next.
+func (p *parser) exactKey(name string) bool {
+	b := p.b[p.i:]
+	n := len(name)
+	if len(b) < n+3 || b[0] != '"' || string(b[1:1+n]) != name || b[1+n] != '"' || b[2+n] != ':' {
+		return false
+	}
+	p.i += n + 3
+	return true
+}
+
+// keyIs reports whether an ASCII key names field: exactly or
+// ASCII-case-insensitively, encoding/json's rule for such keys.
+func keyIs(key []byte, field string) bool {
+	if len(key) != len(field) {
+		return false
+	}
+	for i := range len(key) {
+		a, b := key[i], field[i]
+		if 'a' <= a && a <= 'z' {
+			a -= 'a' - 'A'
+		}
+		if 'a' <= b && b <= 'z' {
+			b -= 'a' - 'A'
+		}
+		if a != b {
+			return false
+		}
+	}
+	return true
+}
+
+// scanString validates and consumes a string and reports whether it
+// holds an escape or a non-ASCII byte.
+func (p *parser) scanString() (special bool, err error) {
+	if p.peek() != '"' {
+		return false, p.fail("expected a string")
+	}
+	for p.i++; ; p.i++ {
+		if p.i >= len(p.b) {
+			return false, p.fail("unterminated string")
+		}
+		switch c := p.b[p.i]; {
+		case c == '"':
+			p.i++
+			return special, nil
+		case c < 0x20:
+			return false, p.fail("control character in string")
+		case c >= utf8.RuneSelf:
+			special = true
+		case c == '\\':
+			special = true
+			if p.i++; p.i >= len(p.b) {
+				continue
+			}
+			switch p.b[p.i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				for range 4 {
+					if p.i++; p.i >= len(p.b) || !isHex(p.b[p.i]) {
+						return false, p.fail("invalid \\u escape")
+					}
+				}
+			default:
+				return false, p.fail("invalid escape")
+			}
+		}
+	}
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// str reads a string value. A string holding escapes or invalid UTF-8
+// is rare on this wire; encoding/json unquotes it, so its replacement
+// and surrogate rules apply unchanged.
+func (p *parser) str() (string, error) {
+	start := p.i
+	special, err := p.scanString()
+	if err != nil {
+		return "", err
+	}
+	raw := p.b[start:p.i]
+	if !special {
+		return string(raw[1 : len(raw)-1]), nil
+	}
+	var s string
+	if err := json.Unmarshal(raw, &s); err != nil {
+		return "", fmt.Errorf("offset %d: %v", start, err)
+	}
+	return s, nil
+}
+
+// number reads an integer: an optional minus sign, then digits with no
+// leading zero. A fraction or an exponent is an error, as it is for
+// encoding/json's integer fields. Magnitudes past max are errors too.
+func (p *parser) number(max uint64) (v uint64, neg bool, err error) {
+	p.ws()
+	b, i := p.b, p.i
+	if i < len(b) && b[i] == '-' {
+		neg = true
+		i++
+	}
+	start := i
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		d := uint64(b[i] - '0')
+		if v > (max-d)/10 {
+			p.i = i
+			return 0, false, p.fail("integer out of range")
+		}
+		if v = v*10 + d; v == 0 {
+			i++
+			break // a leading zero ends the integer
+		}
+	}
+	p.i = i
+	if i == start {
+		return 0, false, p.fail("expected an integer")
+	}
+	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+		return 0, false, p.fail("integer field takes no fraction or exponent")
+	}
+	return v, neg, nil
+}
+
+// uint reads an unsigned integer no larger than max.
+func (p *parser) uint(max uint64) (uint64, error) {
+	v, neg, err := p.number(max)
+	if err == nil && neg {
+		err = p.fail("negative value for an unsigned field")
+	}
+	return v, err
+}
+
+// int32 reads a signed 32-bit integer (FuncID, SiteID).
+func (p *parser) int32() (int32, error) {
+	v, neg, err := p.number(1 << 31)
+	switch {
+	case err != nil:
+		return 0, err
+	case neg:
+		return int32(-int64(v)), nil
+	case v == 1<<31:
+		return 0, p.fail("integer out of range")
+	}
+	return int32(v), nil
+}
+
+func (p *parser) bool() (bool, error) {
+	switch p.peek() {
+	case 't':
+		return true, p.literal("true")
+	case 'f':
+		return false, p.literal("false")
+	}
+	return false, p.fail("expected a boolean")
+}
+
+// skip validates and consumes any JSON value.
+func (p *parser) skip() error {
+	switch c := p.peek(); {
+	case c == '{' || c == '[':
+		end := byte('}')
+		if c == '[' {
+			end = ']'
+		}
+		if err := p.open(c); err != nil {
+			return err
+		}
+		for n := 0; ; n++ {
+			more, err := p.next(end, n)
+			if err != nil || !more {
+				return err
+			}
+			if c == '{' {
+				if _, err := p.scanString(); err != nil {
+					return err
+				}
+				if p.peek() != ':' {
+					return p.fail("expected ':'")
+				}
+				p.i++
+			}
+			if err := p.skip(); err != nil {
+				return err
+			}
+		}
+	case c == '"':
+		_, err := p.scanString()
+		return err
+	case c == 't':
+		return p.literal("true")
+	case c == 'f':
+		return p.literal("false")
+	case c == 'n':
+		return p.literal("null")
+	case c == '-' || '0' <= c && c <= '9':
+		return p.skipNumber()
+	}
+	return p.fail("expected a value")
+}
+
+// skipNumber consumes a JSON number of any form.
+func (p *parser) skipNumber() error {
+	digits := func() int {
+		n := 0
+		for ; p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9'; p.i++ {
+			n++
+		}
+		return n
+	}
+	if p.b[p.i] == '-' {
+		p.i++
+	}
+	switch {
+	case p.i < len(p.b) && p.b[p.i] == '0':
+		p.i++
+	case digits() == 0:
+		return p.fail("invalid number")
+	}
+	if p.i < len(p.b) && p.b[p.i] == '.' {
+		p.i++
+		if digits() == 0 {
+			return p.fail("invalid number")
+		}
+	}
+	if p.i < len(p.b) && (p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		p.i++
+		if p.i < len(p.b) && (p.b[p.i] == '+' || p.b[p.i] == '-') {
+			p.i++
+		}
+		if digits() == 0 {
+			return p.fail("invalid number")
+		}
+	}
+	return nil
+}
+
+// object is the state of one JSON object being parsed: its member count
+// and the known fields it has set.
+type object struct {
+	n    int
+	seen uint
+}
+
+// Field names by wire object; the parser matches keys against them.
+var (
+	requestFields = []string{"tenant", "captures"}
+	captureFields = []string{"Epoch", "ID", "Fn", "Root", "CC", "Spawn"}
+	ccEntryFields = []string{"ID", "Site", "Target", "Count", "Rec"}
+)
+
+// field moves to the object's next member whose key names one of
+// fields and returns that field's name, or "" once the object closes.
+// Members with unknown keys are validated and skipped; so are members
+// whose value is null, which leaves the field zero. A field may appear
+// once: encoding/json would let the last one win, or merge the two.
+func (p *parser) field(obj *object, fields []string) (string, error) {
+	for {
+		more, err := p.next('}', obj.n)
+		if err != nil || !more {
+			return "", err
+		}
+		// Marshaled bodies carry the fields in declaration order: try the
+		// next one's exact key before scanning.
+		f := obj.n
+		obj.n++
+		if f >= len(fields) || !p.exactKey(fields[f]) {
+			k, err := p.key()
+			if err != nil {
+				return "", err
+			}
+			if f = slices.IndexFunc(fields, func(name string) bool { return keyIs(k, name) }); f < 0 {
+				if err := p.skip(); err != nil {
+					return "", err
+				}
+				continue
+			}
+		}
+		if obj.seen&(1<<f) != 0 {
+			return "", p.fail("duplicate key %q", fields[f])
+		}
+		obj.seen |= 1 << f
+		if isNull, err := p.null(); err != nil || !isNull {
+			return fields[f], err
+		}
+	}
+}
+
+func (p *parser) request(req *DecodeRequest) error {
+	if isNull, err := p.null(); isNull || err != nil {
+		return err
+	}
+	if err := p.open('{'); err != nil {
+		return err
+	}
+	var obj object
+	for {
+		f, err := p.field(&obj, requestFields)
+		switch f {
+		case "":
+			return err
+		case "tenant":
+			req.Tenant, err = p.str()
+		case "captures":
+			req.Captures, err = p.captures()
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// captures parses the captures array into wb's slabs and returns the
+// DecodeRequest.Captures slice pointing into them.
+func (p *parser) captures() ([]*core.Capture, error) {
+	wb := p.wb
+	if err := p.open('['); err != nil {
+		return nil, err
+	}
+	for n := 0; ; n++ {
+		more, err := p.next(']', n)
+		if err != nil {
+			return nil, err
+		}
+		if !more {
+			break
+		}
+		isNull, err := p.null()
+		if err != nil {
+			return nil, err
+		}
+		slot := capSlot{cap: -1, ccLo: -1}
+		if !isNull {
+			wb.caps = append(wb.caps, core.Capture{})
+			slot.cap = len(wb.caps) - 1
+			if err := p.capture(&wb.caps[slot.cap], &slot); err != nil {
+				return nil, err
+			}
+		}
+		wb.slots = append(wb.slots, slot)
+	}
+	caps := wb.ptrs[:0]
+	if caps == nil {
+		caps = []*core.Capture{}
+	}
+	for _, s := range wb.slots {
+		if s.cap < 0 {
+			caps = append(caps, nil)
+			continue
+		}
+		c := &wb.caps[s.cap]
+		switch {
+		case s.ccLo < 0:
+		case s.ccLo == s.ccHi:
+			c.CC = []core.CCEntry{}
+		default:
+			c.CC = wb.cc[s.ccLo:s.ccHi:s.ccHi]
+		}
+		caps = append(caps, c)
+	}
+	wb.ptrs = caps
+	return caps, nil
+}
+
+// capture parses one capture object into c. A top-level capture (slot
+// non-nil) appends its ccStack to the CC slab and records the range in
+// slot; a spawn capture allocates its own.
+func (p *parser) capture(c *core.Capture, slot *capSlot) error {
+	if err := p.open('{'); err != nil {
+		return err
+	}
+	var obj object
+	for {
+		f, err := p.field(&obj, captureFields)
+		switch f {
+		case "":
+			return err
+		case "Epoch":
+			var v uint64
+			v, err = p.uint(1<<32 - 1)
+			c.Epoch = uint32(v)
+		case "ID":
+			c.ID, err = p.uint(1<<64 - 1)
+		case "Fn":
+			var v int32
+			v, err = p.int32()
+			c.Fn = prog.FuncID(v)
+		case "Root":
+			var v int32
+			v, err = p.int32()
+			c.Root = prog.FuncID(v)
+		case "CC":
+			if slot == nil {
+				c.CC, err = p.ccStack([]core.CCEntry{})
+			} else {
+				slot.ccLo = len(p.wb.cc)
+				p.wb.cc, err = p.ccStack(p.wb.cc)
+				slot.ccHi = len(p.wb.cc)
+			}
+		case "Spawn":
+			c.Spawn = new(core.Capture)
+			err = p.capture(c.Spawn, nil)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// ccStack appends the entries of a ccStack array to dst. A null entry
+// is a zero entry, as encoding/json decodes null into a struct.
+func (p *parser) ccStack(dst []core.CCEntry) ([]core.CCEntry, error) {
+	if err := p.open('['); err != nil {
+		return dst, err
+	}
+	for n := 0; ; n++ {
+		more, err := p.next(']', n)
+		if err != nil || !more {
+			return dst, err
+		}
+		dst = append(dst, core.CCEntry{})
+		if isNull, err := p.null(); err != nil {
+			return dst, err
+		} else if isNull {
+			continue
+		}
+		if err := p.ccEntry(&dst[len(dst)-1]); err != nil {
+			return dst, err
+		}
+	}
+}
+
+func (p *parser) ccEntry(e *core.CCEntry) error {
+	if err := p.open('{'); err != nil {
+		return err
+	}
+	var obj object
+	for {
+		f, err := p.field(&obj, ccEntryFields)
+		switch f {
+		case "":
+			return err
+		case "ID":
+			e.ID, err = p.uint(1<<64 - 1)
+		case "Site":
+			var v int32
+			v, err = p.int32()
+			e.Site = prog.SiteID(v)
+		case "Target":
+			var v int32
+			v, err = p.int32()
+			e.Target = prog.FuncID(v)
+		case "Count":
+			var v uint64
+			v, err = p.uint(1<<32 - 1)
+			e.Count = uint32(v)
+		case "Rec":
+			e.Rec, err = p.bool()
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// --- response writer ---
+
+// wireNames is a tenant's pre-encoded response fragments, built once at
+// Register: the response head up to the results array, and for every
+// function the tail of a frame object after its site.
+type wireNames struct {
+	head  []byte
+	frame [][]byte // FuncID → `,"fn":N,"name":"…"}`
+}
+
+// newWireNames escapes the tenant's name, hash and function names with
+// json.Marshal, the escaping json.Encoder applies to the same strings.
+func newWireNames(tenant, hash string, funcs []*prog.Function) wireNames {
+	quote := func(dst []byte, s string) []byte {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(dst, q...)
+	}
+	var w wireNames
+	w.head = quote([]byte(`{"tenant":`), tenant)
+	w.head = quote(append(w.head, `,"hash":`...), hash)
+	w.head = append(w.head, `,"results":[`...)
+	w.frame = make([][]byte, len(funcs))
+	for i, f := range funcs {
+		b := strconv.AppendInt([]byte(`,"fn":`), int64(i), 10)
+		w.frame[i] = append(quote(append(b, `,"name":`...), f.Name), '}')
+	}
+	return w
+}
+
+// appendFrames renders a decoded context as one DecodeResult object.
+// An empty context has no frames, which omitempty drops.
+func (w *wireNames) appendFrames(dst []byte, ctx core.Context) []byte {
+	if len(ctx) == 0 {
+		return append(dst, "{}"...)
+	}
+	dst = append(dst, `{"frames":[`...)
+	for i, f := range ctx {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(append(dst, `{"site":`...), int64(f.Site), 10)
+		dst = append(dst, w.frame[f.Fn]...)
+	}
+	return append(dst, "]}"...)
+}
+
+// appendErrorObject renders {"error":msg}, the shape of a failed
+// DecodeResult and of every error response.
+func appendErrorObject(dst []byte, msg string) []byte {
+	return append(appendJSONString(append(dst, `{"error":`...), msg), '}')
+}
+
+// appendJSONString appends s as a JSON string exactly as json.Encoder
+// writes it with its default HTML escaping: <, > and & as \u00XX,
+// control characters as short or \u00XX escapes, invalid UTF-8 as
+// \ufffd, and U+2028/U+2029 escaped.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// --- memo keys ---
+
+// appendMemoKey appends a spawn-free capture's exact decode input — id,
+// fn, root, then each ccStack entry's ID, Site, Target, Count and Rec —
+// at fixed width, so equal keys mean equal inputs.
+func appendMemoKey(dst []byte, c *core.Capture) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, c.ID)
+	dst = le.AppendUint32(dst, uint32(c.Fn))
+	dst = le.AppendUint32(dst, uint32(c.Root))
+	for _, e := range c.CC {
+		dst = le.AppendUint64(dst, e.ID)
+		dst = le.AppendUint32(dst, uint32(e.Site))
+		dst = le.AppendUint32(dst, uint32(e.Target))
+		dst = le.AppendUint32(dst, e.Count)
+		rec := byte(0)
+		if e.Rec {
+			rec = 1
+		}
+		dst = append(dst, rec)
+	}
+	return dst
+}
