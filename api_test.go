@@ -1,7 +1,6 @@
 package dacce_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -97,10 +96,11 @@ func TestBenchmarksListComplete(t *testing.T) {
 	}
 }
 
-// TestBundleRoundTrip checks the offline decode pipeline: export the
-// dictionary, serialize, reload in a fresh decoder, decode serialized
-// captures identically.
-func TestBundleRoundTrip(t *testing.T) {
+// TestDumpRoundTrip checks the offline decode pipeline `daccerun
+// -dump` feeds: marshal the encoder snapshot, reload it as a fresh
+// standalone decoder, and decode JSON-serialized captures exactly as the
+// live encoder does.
+func TestDumpRoundTrip(t *testing.T) {
 	pr, _ := dacce.BenchmarkByName("456.hmmer")
 	pr.TotalCalls = 30_000
 	w, err := dacce.BuildWorkload(pr)
@@ -117,27 +117,27 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Fatal("no samples")
 	}
 
-	var buf bytes.Buffer
-	if err := core.WriteBundle(&buf, enc.ExportBundle()); err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := core.ReadBundle(&buf)
+	data, err := dacce.MarshalState(enc.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := core.NewDecoderFromBundle(bundle)
+	st, err := dacce.UnmarshalState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := st.NewDecoder()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for i, s := range rs.Samples {
-		c := s.Capture.(*core.Capture)
+		c := s.Capture.(*dacce.Capture)
 		// Serialize the capture itself too, as daccerun -dump does.
 		raw, err := json.Marshal(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var c2 core.Capture
+		var c2 dacce.Capture
 		if err := json.Unmarshal(raw, &c2); err != nil {
 			t.Fatal(err)
 		}

@@ -238,18 +238,7 @@ func runSteady(threadsCSV string, callsPerThread, sampleEvery int64, jsonOut, cc
 	if ccprofOut != "" {
 		fmt.Fprintf(os.Stderr, "ccprof: %d contexts written to %s\n", rep.CcprofContexts, ccprofOut)
 	}
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "steady report written to", jsonOut)
-	}
-	return nil
+	return writeReport(jsonOut, "steady", rep)
 }
 
 // runWarmup drives the cold-start scalability suite and renders a
@@ -288,18 +277,7 @@ func runWarmup(threadsCSV string, callsPerThread, sampleEvery int64, noReplay bo
 			fmt.Printf("threads=%s replay-traps=%d\n", k, tr)
 		}
 	}
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "warmup report written to", jsonOut)
-	}
-	return nil
+	return writeReport(jsonOut, "warmup", rep)
 }
 
 // runObs drives the observability-overhead suite — the steady workload
@@ -336,18 +314,7 @@ func runObs(threadsCSV string, callsPerThread, sampleEvery int64, reps int, json
 			r.Threads, r.Mode, r.CallsPerSec, r.AllocsPerCall, r.ContextsObserved, r.OverheadPct)
 	}
 	fmt.Printf("max profiler overhead: %.2f%%\n", rep.MaxProfilerOverheadPct)
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "observability report written to", jsonOut)
-	}
-	return nil
+	return writeReport(jsonOut, "observability", rep)
 }
 
 // runStream drives the streaming-decode firehose suite — a real capture
@@ -385,18 +352,7 @@ func runStream(threadsCSV string, samples, callsPerThread, sampleEvery int64, js
 		rep.DAGNodes, rep.InternHitRate, rep.DAGBytesEstimate, rep.BytesPerDistinctContext)
 	fmt.Printf("equality @ depth %d: pointer %0.3f ns/op vs DiffContexts %0.1f ns/op (%.0fx)\n",
 		rep.EqualityDepth, rep.PointerEqNsPerOp, rep.DiffContextsNsPerOp, rep.PointerEqSpeedup)
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "stream report written to", jsonOut)
-	}
-	return nil
+	return writeReport(jsonOut, "stream", rep)
 }
 
 // runEvict drives the epoch-retirement reclamation suite — encoder
@@ -442,20 +398,12 @@ func runEvict(threadsCSV string, rounds int, callsPerRound, sampleEvery int64, j
 		rep.ServerMemoPeak, rep.ServerMemoFinal, rep.ServerMemoDropped, rep.ServerCollected)
 	fmt.Printf("warm decode with collection enabled: %.4f allocs/decode over %d decodes\n",
 		rep.AllocsPerWarmDecode, rep.WarmDecodes)
+	if err := writeReport(jsonOut, "evict", rep); err != nil {
+		return err
+	}
 	if !rep.EncoderFlat || !rep.ServerFlat {
 		return fmt.Errorf("evict: footprint grew with history (encoder flat=%v, server flat=%v)",
 			rep.EncoderFlat, rep.ServerFlat)
-	}
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "evict report written to", jsonOut)
 	}
 	return nil
 }
@@ -511,19 +459,11 @@ func runAdversarial(targetsCSV, threadsCSV string, calls, sampleEvery int64, dep
 	tr := rep.Torture
 	fmt.Printf("## Recursion torture @ depth %d: max sampled depth %d, ccStack max %d, %d decodes (p50/p99/max %.1f/%.1f/%.1fus), %d mismatches\n",
 		tr.Depth, tr.MaxDepth, tr.CcStackMax, tr.Decodes, tr.DecodeP50Us, tr.DecodeP99Us, tr.DecodeMaxUs, tr.Mismatches)
+	if err := writeReport(jsonOut, "adversarial", rep); err != nil {
+		return err
+	}
 	if tr.Mismatches > 0 {
 		return fmt.Errorf("adversarial: %d torture decodes disagreed with the shadow stack", tr.Mismatches)
-	}
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "adversarial report written to", jsonOut)
 	}
 	return nil
 }
@@ -571,18 +511,28 @@ func runPause(edgesCSV, deltasCSV, modesCSV string, reps int, sloPauseP99 float6
 			fmt.Printf("edges=%d delta=%d p99-full/incr=%.1fx\n", r.Edges, r.Delta, v)
 		}
 	}
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(jsonOut, b, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, "pause report written to", jsonOut)
+	if err := writeReport(jsonOut, "pause", rep); err != nil {
+		return err
 	}
 	return sloErr
+}
+
+// writeReport writes a suite's full report as indented JSON to path
+// (-bench-json; a no-op when path is empty). Suites call it before
+// checking their gates, so a failing run still leaves its report.
+func writeReport(path, suite string, rep any) error {
+	if path == "" {
+		return nil
+	}
+	b, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, suite, "report written to", path)
+	return nil
 }
 
 // parseThreads parses a -threads CSV, returning def untouched when the

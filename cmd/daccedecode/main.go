@@ -1,14 +1,18 @@
-// Command daccedecode decodes captured calling contexts offline, from a
-// decode bundle and a capture file produced by `daccerun -dump` — the
-// error-reporting pipeline of the paper's §1: the instrumented process
-// ships tiny (id, ccStack) records; the analyst decodes them later.
+// Command daccedecode decodes captured calling contexts offline, from
+// the encoder snapshot and the capture file `daccerun -dump` writes —
+// the error-reporting pipeline of the paper's §1: the instrumented
+// process ships tiny (id, ccStack) records; the analyst decodes them
+// later against the per-epoch dictionaries.
 //
-//	daccerun -bench 445.gobmk -dump /tmp/run        # writes bundle + captures
+//	daccerun -bench 445.gobmk -dump /tmp/run        # writes state.snap + captures.json
 //	daccedecode -dir /tmp/run [-n 10]
 //
 // With -remote the captures are posted to a dacced decode server
 // instead of being decoded in-process; the output lines are identical,
-// so `daccedecode -remote` can be diffed against a local decode.
+// so `daccedecode -remote` can be diffed against a local decode. A bare
+// -tenant name is pinned to the dump's encoding (NAME@hash of
+// state.snap), so a server holding another generation of the name
+// answers 404 instead of decoding against the wrong dictionaries.
 //
 //	daccedecode -dir /tmp/run -remote http://localhost:8357 -tenant myprog
 //
@@ -22,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,6 +35,8 @@ import (
 	"dacce/internal/ccprof"
 	"dacce/internal/cliutil"
 	"dacce/internal/core"
+	"dacce/internal/persist"
+	"dacce/internal/prog"
 	"dacce/internal/server"
 )
 
@@ -41,11 +48,11 @@ const (
 )
 
 func main() {
-	dir := flag.String("dir", "", "directory holding bundle.json and captures.json")
+	dir := flag.String("dir", "", "directory holding state.snap and captures.json (daccerun -dump)")
 	n := flag.Int("n", 0, "decode only the first n captures (0 = all)")
 	tree := flag.Bool("tree", false, "aggregate all captures into a calling-context profile tree instead of listing them")
 	remote := flag.String("remote", "", "decode via a dacced server at this base URL instead of in-process")
-	tenant := flag.String("tenant", "", "tenant name or name@hash for -remote")
+	tenant := flag.String("tenant", "", "tenant name or name@hash for -remote; a bare name is pinned to the hash of the dump's state.snap")
 	ccprofOut := flag.String("ccprof-out", "", "aggregate the decoded contexts into a profile and write it to this file (pprof protobuf; folded text for .folded names)")
 	version := cliutil.AddVersion(flag.CommandLine)
 	flag.Parse()
@@ -62,20 +69,20 @@ func main() {
 		os.Exit(2)
 	}
 	if *remote != "" && *ccprofOut != "" {
-		fmt.Fprintln(os.Stderr, "daccedecode: -ccprof-out needs the local decode bundle (drop -remote)")
+		fmt.Fprintln(os.Stderr, "daccedecode: -ccprof-out needs the local decode (drop -remote)")
 		os.Exit(2)
 	}
 	if *remote != "" && *tenant == "" {
 		fmt.Fprintln(os.Stderr, "daccedecode: -remote requires -tenant")
 		os.Exit(2)
 	}
-	if err := run(*dir, *n, *tree, *remote, *tenant, *ccprofOut); err != nil {
+	if err := run(os.Stdout, *dir, *n, *tree, *remote, *tenant, *ccprofOut); err != nil {
 		fmt.Fprintln(os.Stderr, "daccedecode:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir string, n int, tree bool, remote, tenant, ccprofOut string) error {
+func run(out io.Writer, dir string, n int, tree bool, remote, tenant, ccprofOut string) error {
 	captures, err := readCaptures(dir)
 	if err != nil {
 		return err
@@ -83,27 +90,30 @@ func run(dir string, n int, tree bool, remote, tenant, ccprofOut string) error {
 	if n > 0 && n < len(captures) {
 		captures = captures[:n]
 	}
+	snapPath := filepath.Join(dir, "state.snap")
 
 	if remote != "" {
-		return runRemote(remote, tenant, captures)
+		if !strings.Contains(tenant, "@") {
+			data, err := os.ReadFile(snapPath)
+			if err != nil {
+				return err
+			}
+			tenant += "@" + persist.Hash(data)
+		}
+		return runRemote(out, remote, tenant, captures)
 	}
 
-	bf, err := os.Open(filepath.Join(dir, "bundle.json"))
+	st, err := persist.Load(snapPath)
 	if err != nil {
 		return err
 	}
-	defer bf.Close()
-	bundle, err := core.ReadBundle(bf)
-	if err != nil {
-		return err
-	}
-	dec, err := core.NewDecoderFromBundle(bundle)
+	dec, err := st.NewDecoder()
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("bundle: %d funcs, %d edges, %d epochs; decoding %d captures\n\n",
-		len(bundle.Funcs), len(bundle.Edges), len(bundle.Epochs), len(captures))
+	fmt.Fprintf(out, "snapshot: %d funcs, %d edges, %d epochs; decoding %d captures\n\n",
+		len(st.Funcs), len(st.Edges), len(st.Epochs), len(captures))
 
 	// -ccprof-out aggregates into a profile in either print mode; -tree
 	// prints the same aggregation as a tree.
@@ -124,13 +134,13 @@ func run(dir string, n int, tree bool, remote, tenant, ccprofOut string) error {
 				failures++
 			}
 		}
-		fmt.Printf("calling-context profile: %d contexts, %d distinct\n\n", prof.Total(), prof.NumContexts())
-		if err := prof.WriteTree(os.Stdout, 0.01); err != nil {
+		fmt.Fprintf(out, "calling-context profile: %d contexts, %d distinct\n\n", prof.Total(), prof.NumContexts())
+		if err := prof.WriteTree(out, 0.01); err != nil {
 			return err
 		}
-		fmt.Println("\nhottest contexts:")
+		fmt.Fprintln(out, "\nhottest contexts:")
 		for _, h := range prof.Hot(10) {
-			fmt.Printf("  %5.1f%%  %s\n", 100*h.Frac, pretty(bundle, h.Context))
+			fmt.Fprintf(out, "  %5.1f%%  %s\n", 100*h.Frac, pretty(dec.P, h.Context))
 		}
 		if err := writeCcprof(ccprofOut, prof); err != nil {
 			return err
@@ -146,10 +156,10 @@ func run(dir string, n int, tree bool, remote, tenant, ccprofOut string) error {
 		ctx, err := dec.Decode(c)
 		if err != nil {
 			failures++
-			fmt.Printf("%4d  epoch=%-3d id=%-8d  DECODE ERROR: %v\n", i, c.Epoch, c.ID, err)
+			fmt.Fprintf(out, "%4d  epoch=%-3d id=%-8d  DECODE ERROR: %v\n", i, c.Epoch, c.ID, err)
 			continue
 		}
-		fmt.Printf("%4d  epoch=%-3d id=%-8d |cc|=%-3d %s\n", i, c.Epoch, c.ID, len(c.CC), pretty(bundle, ctx))
+		fmt.Fprintf(out, "%4d  epoch=%-3d id=%-8d |cc|=%-3d %s\n", i, c.Epoch, c.ID, len(c.CC), pretty(dec.P, ctx))
 		if prof != nil {
 			if err := prof.Add(ctx); err != nil {
 				return fmt.Errorf("aggregating context %d: %w", i, err)
@@ -198,9 +208,9 @@ func writeCcprof(path string, prof *ccprof.Profile) error {
 // a timeout and retries transient failures, honoring the server's
 // Retry-After back-pressure, so a dead or briefly saturated dacced does
 // not hang or hard-fail the CLI.
-func runRemote(base, tenant string, captures []*core.Capture) error {
+func runRemote(out io.Writer, base, tenant string, captures []*core.Capture) error {
 	c := &server.Client{BaseURL: base, Timeout: remoteTimeout}
-	fmt.Printf("remote: %s tenant %s; decoding %d captures\n\n", base, tenant, len(captures))
+	fmt.Fprintf(out, "remote: %s tenant %s; decoding %d captures\n\n", base, tenant, len(captures))
 	failures := 0
 	for off := 0; off < len(captures); off += remoteBatch {
 		batch := captures[off:min(off+remoteBatch, len(captures))]
@@ -212,7 +222,7 @@ func runRemote(base, tenant string, captures []*core.Capture) error {
 			i, c := off+j, batch[j]
 			if res.Error != "" {
 				failures++
-				fmt.Printf("%4d  epoch=%-3d id=%-8d  DECODE ERROR: %v\n", i, c.Epoch, c.ID, res.Error)
+				fmt.Fprintf(out, "%4d  epoch=%-3d id=%-8d  DECODE ERROR: %v\n", i, c.Epoch, c.ID, res.Error)
 				continue
 			}
 			s := ""
@@ -222,7 +232,7 @@ func runRemote(base, tenant string, captures []*core.Capture) error {
 				}
 				s += f.Name
 			}
-			fmt.Printf("%4d  epoch=%-3d id=%-8d |cc|=%-3d %s\n", i, c.Epoch, c.ID, len(c.CC), s)
+			fmt.Fprintf(out, "%4d  epoch=%-3d id=%-8d |cc|=%-3d %s\n", i, c.Epoch, c.ID, len(c.CC), s)
 		}
 	}
 	if failures > 0 {
@@ -244,13 +254,13 @@ func readCaptures(dir string) ([]*core.Capture, error) {
 	return captures, nil
 }
 
-func pretty(b *core.Bundle, ctx core.Context) string {
+func pretty(p *prog.Program, ctx core.Context) string {
 	s := ""
 	for i, f := range ctx {
 		if i > 0 {
 			s += " → "
 		}
-		s += b.Funcs[f.Fn].Name
+		s += p.Funcs[f.Fn].Name
 	}
 	return s
 }

@@ -11,6 +11,10 @@
 // graph and every epoch's dictionary so the replay executes zero
 // handler traps (dacce only).
 //
+// Offline decode: -dump DIR writes DIR/state.snap, the encoder snapshot
+// (the same bytes -save-state writes), and DIR/captures.json, the
+// sampled captures, for daccedecode (dacce only).
+//
 // Telemetry: -metrics prints a metrics snapshot after the run,
 // -trace-out writes a Chrome trace-event file (load it in
 // chrome://tracing or Perfetto), -flight-recorder keeps a ring buffer
@@ -38,6 +42,7 @@ import (
 	"dacce/internal/machine"
 	"dacce/internal/pcc"
 	"dacce/internal/pcce"
+	"dacce/internal/persist"
 	"dacce/internal/stackwalk"
 	"dacce/internal/stats"
 	"dacce/internal/workload"
@@ -48,7 +53,7 @@ func main() {
 	scheme := flag.String("scheme", "dacce", "null|dacce|pcce|stackwalk|cct|pcc")
 	calls := flag.Int64("calls", 0, "total calls (0 = profile default)")
 	sample := flag.Int64("sample", 256, "sampling period (0 = off)")
-	dump := flag.String("dump", "", "directory to write bundle.json + captures.json (dacce only)")
+	dump := flag.String("dump", "", "directory to write state.snap + captures.json for daccedecode (dacce only)")
 	validate := flag.Bool("validate", false, "cross-validate every sampled context against the shadow stack (dacce/pcce)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	tel := cliutil.AddTelemetry(flag.CommandLine)
@@ -218,7 +223,7 @@ func run(bench, schemeName string, calls, sample int64, dump string, validate bo
 		if err := writeDump(dump, d, rs.Samples); err != nil {
 			return err
 		}
-		fmt.Printf("dump           bundle + %d captures written to %s\n", len(rs.Samples), dump)
+		fmt.Printf("dump           snapshot + %d captures written to %s\n", len(rs.Samples), dump)
 	}
 	if d != nil {
 		if err := state.SaveIfSet(d); err != nil {
@@ -248,18 +253,13 @@ func run(bench, schemeName string, calls, sample int64, dump string, validate bo
 	return tel.Finish(os.Stdout)
 }
 
-// writeDump exports the decode bundle and the sampled captures, the
+// writeDump writes the encoder snapshot and the sampled captures, the
 // offline error-reporting pipeline daccedecode consumes.
 func writeDump(dir string, d *core.DACCE, samples []machine.Sample) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	bf, err := os.Create(filepath.Join(dir, "bundle.json"))
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	if err := core.WriteBundle(bf, d.ExportBundle()); err != nil {
+	if err := persist.SaveEncoder(filepath.Join(dir, "state.snap"), d); err != nil {
 		return err
 	}
 	var captures []*core.Capture

@@ -224,7 +224,9 @@ type (
 	// CCStreaming is the always-on streaming context profiler; attach
 	// it via Options.ContextObserver.
 	CCStreaming = ccprof.Streaming
-	// ContextObserver consumes decoded contexts from the sampling path.
+	// ContextObserver consumes the sampling path's decoded contexts
+	// as interned CCNodes; the encoder calls its ReleaseNodes before
+	// each DAG collection so it can drop its node pins.
 	ContextObserver = core.ContextObserver
 	// Histogram is a lock-free log-bucketed histogram with estimated
 	// p50/p90/p99 and exact-max snapshots.
@@ -264,15 +266,6 @@ type (
 	// floor, the node count before, and how many nodes were freed or
 	// rescued by racing readers.
 	CCDAGCollectStats = ccdag.CollectStats
-	// NodeObserver is a ContextObserver upgrade: implementations
-	// receive interned nodes instead of frame slices from the sampling
-	// path.
-	NodeObserver = core.NodeObserver
-	// NodeReleaser is an optional ContextObserver extension: the
-	// encoder calls ReleaseNodes before collecting the DAG so the
-	// observer can drop its node pins (CCStreaming implements it by
-	// folding pinned counts into the merged profile).
-	NodeReleaser = core.NodeReleaser
 )
 
 // NewCCDAG returns an empty context DAG, for interning contexts

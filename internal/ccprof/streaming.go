@@ -15,79 +15,48 @@ import (
 // Streaming is the always-on profiler: a core.ContextObserver that
 // aggregates every context the sampling controller decodes, while the
 // program runs, into the same calling-context tree an offline Profile
-// builds — without adding a lock or an allocation to the sample path.
+// builds — without adding a contended lock or an allocation to the
+// sample path.
 //
-// Contention follows the PR-5 sharded-buffer idiom: each machine thread
-// accumulates into its own shard (a private CCT guarded by a mutex only
-// that thread and the merger touch, so steady-state acquisition is
-// uncontended), and shards are folded into the merged profile only when
-// an export asks for it. Observe allocates nothing once a context's
-// node path exists; shard registration and first-visit node creation
-// are warm-up costs.
-//
-// Streaming also implements core.NodeObserver, so an encoder with a
-// context DAG dispatches interned *ccdag.Node values instead of frame
-// slices. In that mode a shard is a count per canonical node — one map
-// increment under the shard lock, no tree descent at all — and the
-// per-context tree work moves to merge time, where each distinct node
-// is materialized once and folded in with its accumulated weight.
+// The encoder hands it each sample as an interned *ccdag.Node. Each
+// machine thread counts into its own shard (a map guarded by a mutex
+// only that thread and the merger touch, so steady-state acquisition is
+// uncontended): one map increment per sample, no tree descent. The
+// tree work happens at merge time, when an export asks for it: each
+// distinct node is materialized once and folded in with its
+// accumulated weight. Shard registration and first-visit map keys are
+// warm-up costs.
 type Streaming struct {
-	p *prog.Program
-
 	// shards is indexed by machine thread id and grown copy-on-write
-	// under mu, so the Observe fast path is one atomic load + index.
+	// under mu, so the observe fast path is one atomic load + index.
 	shards atomic.Pointer[[]*streamShard]
 
-	// mu serializes shard-registry growth, merging and exports.
+	// mu serializes shard-registry growth, merging, exports and
+	// ObserveContext folds.
 	mu     sync.Mutex
 	merged *Profile
 
-	// mscratch is the merge-time materialization buffer for node-mode
-	// shards, reused across nodes and merges.
+	// mscratch is the merge-time materialization buffer, reused across
+	// nodes and merges.
 	mscratch core.Context
 
 	observed atomic.Int64
 }
 
-// streamShard is one thread's private accumulation tree. incl/excl
-// counts accumulate between merges; Merge drains them into the shared
-// profile and zeroes them, keeping the nodes for reuse.
+var _ core.ContextObserver = (*Streaming)(nil)
+
+// streamShard is one thread's private node counts. A merge zeroes the
+// counts but keeps the keys, so a steady-state workload re-accumulates
+// with zero-allocation map increments.
 type streamShard struct {
-	mu      sync.Mutex
-	root    snode
-	pending int64 // contexts accumulated since the last merge
-
-	// nodes holds node-mode counts keyed by canonical context node.
-	// Merge zeroes the counts but keeps the keys, so a steady-state
-	// workload re-accumulates with zero-allocation map increments.
+	mu    sync.Mutex
 	nodes map[*ccdag.Node]int64
-}
-
-// snode mirrors Node for the per-shard tree, without parent pointers:
-// shards only ever descend.
-type snode struct {
-	site     prog.SiteID
-	fn       prog.FuncID
-	excl     int64
-	incl     int64
-	children []*snode
-}
-
-func (n *snode) child(site prog.SiteID, fn prog.FuncID) *snode {
-	for _, c := range n.children {
-		if c.site == site && c.fn == fn {
-			return c
-		}
-	}
-	c := &snode{site: site, fn: fn}
-	n.children = append(n.children, c)
-	return c
 }
 
 // NewStreaming returns an empty streaming profiler over p. Attach it
 // with core.Options.ContextObserver or DACCE.SetContextObserver.
 func NewStreaming(p *prog.Program) *Streaming {
-	s := &Streaming{p: p, merged: New(p)}
+	s := &Streaming{merged: New(p)}
 	empty := make([]*streamShard, 0)
 	s.shards.Store(&empty)
 	return s
@@ -110,7 +79,7 @@ func (s *Streaming) shard(thread int) *streamShard {
 		}
 		grown := make([]*streamShard, max(thread+1, len(sp)))
 		copy(grown, sp)
-		sh := &streamShard{root: snode{site: prog.NoSite, fn: s.p.Entry}}
+		sh := &streamShard{nodes: make(map[*ccdag.Node]int64)}
 		grown[thread] = sh
 		s.shards.Store(&grown)
 		s.mu.Unlock()
@@ -118,52 +87,34 @@ func (s *Streaming) shard(thread int) *streamShard {
 	}
 }
 
-// ObserveContext implements core.ContextObserver: fold one decoded
-// context into the calling thread's shard. Replicates Profile.Add
-// exactly (root matching, synthetic children for foreign thread roots,
-// inclusive along the path, exclusive at the leaf), so merging all
-// shards yields the same tree an offline Add-per-context build does.
-// ctx is consumed before return, never retained.
-func (s *Streaming) ObserveContext(thread int, ctx core.Context) {
-	if len(ctx) == 0 || thread < 0 {
-		return
-	}
-	sh := s.shard(thread)
-	sh.mu.Lock()
-	cur := &sh.root
-	cur.incl++
-	if ctx[0].Fn != cur.fn {
-		cur = cur.child(prog.NoSite, ctx[0].Fn)
-		cur.incl++
-	}
-	for _, f := range ctx[1:] {
-		cur = cur.child(f.Site, f.Fn)
-		cur.incl++
-	}
-	cur.excl++
-	sh.pending++
-	sh.mu.Unlock()
-	s.observed.Add(1)
-}
-
-// ObserveContextNode implements core.NodeObserver: count one canonical
-// context node in the calling thread's shard. The whole per-sample cost
-// is a map increment — the tree fold happens once per distinct node at
-// merge time instead of once per sample, and pointer-keyed increments
-// on warm keys allocate nothing.
+// ObserveContextNode implements core.ContextObserver: count one
+// canonical context node in the calling thread's shard. The whole
+// per-sample cost is a map increment — the tree fold happens once per
+// distinct node at merge time instead of once per sample, and
+// pointer-keyed increments on warm keys allocate nothing.
 func (s *Streaming) ObserveContextNode(thread int, n *ccdag.Node) {
 	if n == nil || thread < 0 {
 		return
 	}
 	sh := s.shard(thread)
 	sh.mu.Lock()
-	if sh.nodes == nil {
-		sh.nodes = make(map[*ccdag.Node]int64)
-	}
-	// No sh.pending here: addN bumps the merged total itself at merge
-	// time, where slice-mode counts flow through pending instead.
 	sh.nodes[n]++
 	sh.mu.Unlock()
+	s.observed.Add(1)
+}
+
+// ObserveContext folds one decoded context straight into the merged
+// profile under the profiler's lock, for callers that hold a frame
+// slice rather than an interned node. ctx is consumed before return,
+// never retained. The encoder never calls it; the sampling path goes
+// through ObserveContextNode.
+func (s *Streaming) ObserveContext(thread int, ctx core.Context) {
+	if len(ctx) == 0 || thread < 0 {
+		return
+	}
+	s.mu.Lock()
+	_ = s.merged.Add(ctx) // fails only on an empty context, returned above
+	s.mu.Unlock()
 	s.observed.Add(1)
 }
 
@@ -171,13 +122,13 @@ func (s *Streaming) ObserveContextNode(thread int, n *ccdag.Node) {
 func (s *Streaming) Observed() int64 { return s.observed.Load() }
 
 // mergeLocked drains every shard's accumulated counts into the merged
-// profile. Caller holds s.mu. With drop false, shard trees and node
-// maps keep their (zeroed) entries, so a steady-state workload
-// re-accumulates without allocating. With drop true, node-map keys are
-// deleted after folding — inside the same per-shard critical section,
-// so no increment can land between the fold and the delete — releasing
-// the shards' *ccdag.Node pins for DAG reclamation; the next sample per
-// context re-creates its key (one map insert, warm-up cost only).
+// profile. Caller holds s.mu. With drop false, shard maps keep their
+// (zeroed) entries, so a steady-state workload re-accumulates without
+// allocating. With drop true, the keys are deleted after folding —
+// inside the same per-shard critical section, so no increment can land
+// between the fold and the delete — releasing the shards' *ccdag.Node
+// pins for DAG reclamation; the next sample per context re-creates its
+// key (one map insert, warm-up cost only).
 func (s *Streaming) mergeLocked(drop bool) {
 	sp := *s.shards.Load()
 	for _, sh := range sp {
@@ -185,8 +136,6 @@ func (s *Streaming) mergeLocked(drop bool) {
 			continue
 		}
 		sh.mu.Lock()
-		s.absorb(&sh.root, s.merged.root)
-		s.merged.total += sh.pending
 		for n, w := range sh.nodes {
 			if w != 0 {
 				s.mscratch = core.AppendNodeContext(s.mscratch, n)
@@ -199,31 +148,21 @@ func (s *Streaming) mergeLocked(drop bool) {
 		if drop {
 			clear(sh.nodes)
 		}
-		sh.pending = 0
 		sh.mu.Unlock()
 	}
 }
 
-// ReleaseNodes implements core.NodeReleaser: fold every shard's pending
-// node counts into the merged profile and drop the node keys, so the
-// profiler no longer pins any *ccdag.Node and a DAG collection can free
-// contexts that are otherwise dead. The merged profile keeps the full
-// aggregated tree — it stores frames, not node pointers — so no counts
-// are lost. The encoder calls this before each reclamation pass; safe
-// concurrently with ObserveContextNode.
+// ReleaseNodes implements core.ContextObserver: fold every shard's
+// pending node counts into the merged profile and drop the node keys,
+// so the profiler no longer pins any *ccdag.Node and a DAG collection
+// can free contexts that are otherwise dead. The merged profile keeps
+// the full aggregated tree — it stores frames, not node pointers — so
+// no counts are lost. The encoder calls this before each reclamation
+// pass; safe concurrently with ObserveContextNode.
 func (s *Streaming) ReleaseNodes() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mergeLocked(true)
-}
-
-func (s *Streaming) absorb(from *snode, into *Node) {
-	into.Inclusive += from.incl
-	into.Exclusive += from.excl
-	from.incl, from.excl = 0, 0
-	for _, c := range from.children {
-		s.absorb(c, s.merged.child(into, c.site, c.fn))
-	}
 }
 
 // Profile merges all pending accumulation and returns a deep copy of
@@ -298,11 +237,4 @@ func (pr *Profile) clone() *Profile {
 	}
 	rec(pr.root, out.root)
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

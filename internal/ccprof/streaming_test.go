@@ -51,7 +51,7 @@ func sameProfile(t *testing.T, got, want *Profile) {
 // observed concurrently from many threads, in arbitrary per-thread
 // orders with merges racing the observation, must aggregate to exactly
 // the profile an offline single-threaded Add-per-context build yields.
-// Run under -race this also proves the shard registry and merge locking.
+// Run under -race this also proves the merge locking.
 func TestStreamingMatchesOffline(t *testing.T) {
 	p, ctxA, ctxB, ctxC := tiny(t)
 	contexts := []core.Context{ctxA, ctxB, ctxC}

@@ -55,7 +55,7 @@ type tls struct {
 
 	// lastNode memoizes the interned node of the thread's previous
 	// sample: consecutive samples usually land in the same context, so
-	// the node-observer path verifies the memo with plain word compares
+	// the observer path verifies the memo with plain word compares
 	// plus one generation probe (dag.Fresh) and re-interns only on a
 	// change. The Fresh check guards against DAG reclamation: a node
 	// untouched since before the low-water epoch may have been dropped

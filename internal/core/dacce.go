@@ -102,28 +102,24 @@ type Options struct {
 	ContextObserver ContextObserver
 }
 
-// ContextObserver consumes decoded calling contexts from the live
-// sampling path. Implementations must be safe for concurrent calls from
-// multiple machine threads, must not retain ctx (it aliases the
-// sampling thread's scratch buffer and is overwritten by the next
-// sample), must not call back into the encoder, and must be cheap and
-// allocation-free at steady state — the observer runs inside the
-// sampling controller the 0-alloc gate covers.
+// ContextObserver consumes the live sampling path's decoded calling
+// contexts as canonical hash-consed DAG nodes: the sampling controller
+// interns each decoded context into the encoder's DAG (allocation-free
+// once the DAG holds it) and hands the observer the node — one word,
+// pointer-comparable, valid until the DAG collects it. Implementations
+// must be safe for concurrent calls from multiple machine threads, must
+// not call back into the encoder, and must be cheap and allocation-free
+// at steady state — the observer runs inside the sampling controller
+// the 0-alloc gate covers.
+//
+// ReleaseNodes is the reclamation hook: the encoder calls it right
+// before each DAG collection, so an observer that retains nodes (the
+// streaming profiler's shard maps) can fold and drop those references
+// and the collection can actually free them. It must be safe to call
+// concurrently with ObserveContextNode.
 type ContextObserver interface {
-	ObserveContext(thread int, ctx Context)
-}
-
-// NodeObserver is the interned-context upgrade of ContextObserver: a
-// context observer that also implements it receives each sampled
-// context as its canonical hash-consed DAG node instead of the scratch
-// slice — one word, valid forever, pointer-comparable — and the
-// sampling controller interns the decoded frames into the encoder's
-// DAG on the observer's behalf (allocation-free once the DAG holds the
-// context). The same concurrency and no-callback rules as
-// ContextObserver apply; retaining the node is allowed (that is the
-// point).
-type NodeObserver interface {
 	ObserveContextNode(thread int, n *ccdag.Node)
+	ReleaseNodes()
 }
 
 // DefaultInlineThreshold matches the paper's "small number of indirect
@@ -207,16 +203,13 @@ type DACCE struct {
 	// path — each emission site is one predictable branch).
 	sink telemetry.Sink
 
-	// ctxObs is the streaming-profiler hook, published atomically so it
+	// obs is the streaming-profiler hook, published atomically so it
 	// can be attached to an already-running encoder without a race with
-	// in-flight samples. nodeObs holds the same observer's NodeObserver
-	// upgrade when it has one (resolved once at attach time, so the
-	// sample path pays a load, not a type assertion).
-	ctxObs  atomic.Pointer[ContextObserver]
-	nodeObs atomic.Pointer[NodeObserver]
+	// in-flight samples.
+	obs atomic.Pointer[ContextObserver]
 
 	// dag is the encoder's hash-consed context DAG: the intern table
-	// behind DecodeNode/DecodeSampleNode and the node-mode sampling
+	// behind DecodeNode/DecodeSampleNode and the sampling context
 	// observer. Created with the encoder; a node stays canonical across
 	// re-encoding epochs because it is keyed by decoded frames, not by
 	// encoded ids. The table is bounded, not append-only: the DAG's
@@ -238,11 +231,6 @@ type DACCE struct {
 	// low-water mark costs one atomic load.
 	collectFloor atomic.Uint64
 
-	// nodeRel is the attached observer's NodeReleaser upgrade (resolved
-	// at SetContextObserver time, like nodeObs), called before each
-	// collection so shard maps holding *ccdag.Node keys drop their pins.
-	nodeRel atomic.Pointer[NodeReleaser]
-
 	// Always-on latency histograms over the runtime's own control
 	// points. They exist regardless of any sink — the warmup suite
 	// reads pause quantiles from every run and the SLO watchdog needs
@@ -250,7 +238,6 @@ type DACCE struct {
 	// a trap and an external decode are each rare enough that one
 	// lock-free Observe is noise.
 	pauseHist  *telemetry.Histogram // STW re-encoding pause, wall ns
-	prepHist   *telemetry.Histogram // concurrent-prepare (off-pause) duration, wall ns
 	trapHist   *telemetry.Histogram // runtime-handler trap latency, wall ns
 	decodeHist *telemetry.Histogram // external Decode latency, wall ns
 
@@ -305,7 +292,6 @@ func New(p *prog.Program, opt Options) *DACCE {
 		dag:        ccdag.New(),
 		sink:       opt.Sink,
 		pauseHist:  telemetry.NewHistogram(telemetry.DurationBuckets()),
-		prepHist:   telemetry.NewHistogram(telemetry.DurationBuckets()),
 		trapHist:   telemetry.NewHistogram(telemetry.DurationBuckets()),
 		decodeHist: telemetry.NewHistogram(telemetry.DurationBuckets()),
 	}
@@ -504,20 +490,16 @@ func (d *DACCE) OnSample(t *machine.Thread, capture any) {
 			}
 			t.C.InstrCost += machine.CostSampleDecode
 			// The streaming profiler rides the decode the controller
-			// already paid for: the observer consumes ctx before the
-			// scratch is reused, keeping the whole path allocation-free.
-			// A node observer instead gets the context interned into the
-			// encoder's DAG — pure pointer hops once the DAG is warm, and
-			// the node is retainable where the scratch slice is not.
-			if nop := d.nodeObs.Load(); nop != nil {
+			// already paid for: the context is interned into the
+			// encoder's DAG — pure pointer hops once the DAG is warm — and
+			// the observer gets the node, which outlives the scratch.
+			if op := d.obs.Load(); op != nil {
 				nd := st.lastNode
 				if !d.dag.Fresh(nd) || !nodeMatches(nd, ctx) {
 					nd = internContext(d.dag, ctx)
 					st.lastNode = nd
 				}
-				(*nop).ObserveContextNode(t.ID(), nd)
-			} else if op := d.ctxObs.Load(); op != nil {
-				(*op).ObserveContext(t.ID(), ctx)
+				(*op).ObserveContextNode(t.ID(), nd)
 			}
 		}
 	}
@@ -615,41 +597,19 @@ func (d *DACCE) CompressCount() int { return len(d.cur().compress) }
 // SetContextObserver attaches (or, with nil, detaches) the streaming
 // context observer fed from the live sampling path. Safe to call while
 // the machine runs; in-flight samples see either the old or the new
-// observer. An observer that also implements NodeObserver is fed
-// interned DAG nodes instead of scratch slices.
+// observer.
 func (d *DACCE) SetContextObserver(o ContextObserver) {
 	if o == nil {
-		d.ctxObs.Store(nil)
-		d.nodeObs.Store(nil)
-		d.nodeRel.Store(nil)
+		d.obs.Store(nil)
 		return
 	}
-	// An observer that retains nodes (NodeObserver) may also know how to
-	// release them; resolve that upgrade once here so maybeCollect pays a
-	// load, not a type assertion.
-	if rel, ok := o.(NodeReleaser); ok {
-		d.nodeRel.Store(&rel)
-	} else {
-		d.nodeRel.Store(nil)
-	}
-	if no, ok := o.(NodeObserver); ok {
-		d.ctxObs.Store(nil)
-		d.nodeObs.Store(&no)
-		return
-	}
-	d.nodeObs.Store(nil)
-	d.ctxObs.Store(&o)
+	d.obs.Store(&o)
 }
 
 // PauseHist returns the live stop-the-world pause histogram (wall
 // nanoseconds per re-encoding pass). Always on; use Snapshot for
 // quantiles or wire it into an SLO watchdog rule.
 func (d *DACCE) PauseHist() *telemetry.Histogram { return d.pauseHist }
-
-// PrepareHist returns the live concurrent-prepare duration histogram:
-// the off-pause portion of each re-encoding pass (assignment +
-// decode-index construction with the world still running).
-func (d *DACCE) PrepareHist() *telemetry.Histogram { return d.prepHist }
 
 // TrapHist returns the live runtime-handler latency histogram (wall
 // nanoseconds per trap).

@@ -110,31 +110,6 @@ func FuzzDecodeArbitraryCapture(f *testing.F) {
 	})
 }
 
-// FuzzBundleRead feeds arbitrary bytes to the bundle reader.
-func FuzzBundleRead(f *testing.F) {
-	d, _ := fuzzEncoder(f)
-	var buf bytes.Buffer
-	if err := WriteBundle(&buf, d.ExportBundle()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(`{"funcs":[],"sites":[],"entry":0}`))
-	f.Add([]byte(`{`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := ReadBundle(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		dec, err := NewDecoderFromBundle(b)
-		if err != nil {
-			return
-		}
-		// A reconstructed decoder must reject (not crash on) an
-		// arbitrary capture.
-		_, _ = dec.Decode(&Capture{Epoch: 0, ID: 1, Fn: 0, Root: 0})
-	})
-}
-
 // TestDecodeRejectsCorruption pins specific corruption classes.
 func TestDecodeRejectsCorruption(t *testing.T) {
 	d, p := fuzzEncoder(t)

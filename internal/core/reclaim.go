@@ -22,16 +22,6 @@ import (
 	"sync/atomic"
 )
 
-// NodeReleaser is the reclamation hook of a node observer: an observer
-// that retains *ccdag.Node keys (the streaming profiler's shard maps)
-// implements it to flush and drop those references so a DAG collection
-// can actually free the nodes. The encoder calls it right before each
-// collection; implementations must be safe to call concurrently with
-// ObserveContextNode.
-type NodeReleaser interface {
-	ReleaseNodes()
-}
-
 // epochRefs returns the live per-epoch outstanding-capture counters.
 func (d *DACCE) refs() []*atomic.Int64 { return *d.capRefs.Load() }
 
@@ -95,11 +85,10 @@ func (d *DACCE) maybeCollect() {
 			break
 		}
 	}
-	// Let a node-retaining observer flush its shard maps first, so the
-	// sweep below sees those pins gone rather than carrying dead nodes
-	// to the next pass.
-	if rel := d.nodeRel.Load(); rel != nil {
-		(*rel).ReleaseNodes()
+	// Let the observer flush its node pins first, so the sweep below
+	// sees them gone rather than carrying dead nodes to the next pass.
+	if op := d.obs.Load(); op != nil {
+		(*op).ReleaseNodes()
 	}
 	st := d.dag.Collect(floor, nil)
 	d.mu.Lock()

@@ -32,17 +32,15 @@ func soakProfile(totalCalls int64) workload.Profile {
 	}
 }
 
-// retainingObserver is a node observer that pins every node it sees —
-// the worst case for reclamation — and implements NodeReleaser so the
-// encoder can flush the pins before collecting, the way the streaming
-// profiler does.
+// retainingObserver is a context observer that pins every node it sees
+// — the worst case for reclamation — and drops the pins in ReleaseNodes
+// before each collection, the way the streaming profiler does.
 type retainingObserver struct {
 	mu       sync.Mutex
 	nodes    map[*ccdag.Node]int64
+	observed atomic.Int64
 	released atomic.Int64
 }
-
-func (o *retainingObserver) ObserveContext(thread int, ctx Context) {}
 
 func (o *retainingObserver) ObserveContextNode(thread int, n *ccdag.Node) {
 	o.mu.Lock()
@@ -51,6 +49,7 @@ func (o *retainingObserver) ObserveContextNode(thread int, n *ccdag.Node) {
 	}
 	o.nodes[n]++
 	o.mu.Unlock()
+	o.observed.Add(1)
 }
 
 func (o *retainingObserver) ReleaseNodes() {
@@ -106,6 +105,47 @@ func TestLowWaterEpoch(t *testing.T) {
 	st := d.Stats()
 	if st.DAGCollections == 0 {
 		t.Fatal("no collection ran after all captures were released")
+	}
+}
+
+// TestSetContextObserverDetach checks that SetContextObserver(nil)
+// stops both hooks: after the detach no sample reaches
+// ObserveContextNode and no collection calls ReleaseNodes, although the
+// encoder keeps sampling and collecting.
+func TestSetContextObserverDetach(t *testing.T) {
+	w, err := workload.Build(soakProfile(20_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(w.P, Options{})
+	obs := &retainingObserver{}
+	d.SetContextObserver(obs)
+	// DropSamples releases every capture at sample time, so each forced
+	// pass raises the low-water mark and collects.
+	round := func(seed uint64) {
+		m := w.NewMachine(d, machine.Config{SampleEvery: 5, Seed: seed, DropSamples: true})
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		d.ForceReencode(nil)
+	}
+	round(1)
+	observed, released := obs.observed.Load(), obs.released.Load()
+	if observed == 0 || released == 0 {
+		t.Fatalf("attached observer saw %d nodes and %d releases, want both > 0", observed, released)
+	}
+
+	d.SetContextObserver(nil)
+	samples, collections := d.samplesSeen.Load(), d.Stats().DAGCollections
+	round(2)
+	if d.samplesSeen.Load() == samples || d.Stats().DAGCollections == collections {
+		t.Fatal("second round neither sampled nor collected; the detach check would be vacuous")
+	}
+	if got := obs.observed.Load(); got != observed {
+		t.Errorf("detached observer saw %d more nodes", got-observed)
+	}
+	if got := obs.released.Load(); got != released {
+		t.Errorf("detached observer got %d more ReleaseNodes calls", got-released)
 	}
 }
 

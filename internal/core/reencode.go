@@ -454,7 +454,6 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	pause := time.Since(pauseStart).Nanoseconds()
 	d.stats.History[len(d.stats.History)-1].PauseNanos = pause
 	d.pauseHist.Observe(pause)
-	d.prepHist.Observe(prepare)
 	if d.sink != nil {
 		d.sink.Emit(telemetry.Event{
 			Kind: telemetry.EvReencodeEnd, Thread: tid, Reason: plan.reason,

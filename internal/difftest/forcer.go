@@ -14,7 +14,11 @@ import (
 // under the old epoch and the next one under the new epoch, which
 // plants query points immediately on both sides of every epoch
 // boundary — the exact transition the per-epoch dictionaries of paper
-// §4.1 must keep decodable. everySamples <= 0 returns d unchanged.
+// §4.1 must keep decodable. The forced pass asks for incremental
+// renumbering: an encoder with Options.Incremental exercises its delta
+// path at every boundary, and any other encoder renumbers fully, so a
+// full-pass control leg is unchanged. everySamples <= 0 returns d
+// unchanged.
 func ForceEpochs(d *core.DACCE, everySamples int64) machine.Scheme {
 	if everySamples <= 0 {
 		return d
@@ -49,7 +53,7 @@ func (f *epochForcer) OnModuleUnload(t *machine.Thread, id prog.ModuleID) { f.d.
 func (f *epochForcer) OnSample(t *machine.Thread, capture any) {
 	f.d.OnSample(t, capture)
 	if f.n.Add(1)%f.every == 0 {
-		f.d.ForceReencode(t)
+		f.d.ReencodeNow(t, true)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // samples, an external goroutine forces stop-the-world passes from
 // outside any machine thread, and reader goroutines continuously hit
 // the snapshot accessors (Epoch, MaxID, Dict, CompressCount, Stats,
-// ExportBundle) that the steady-state rework moved off the mutex. Under
+// ExportState) that the steady-state rework moved off the mutex. Under
 // -race this checks the RCU publication discipline: readers must only
 // ever observe complete, immutable snapshots. Retained samples are
 // decoded afterwards as the semantic check.
@@ -61,7 +61,7 @@ func TestStressLockFreeReaders(t *testing.T) {
 				_ = d.CompressCount()
 				if n%64 == 0 {
 					_ = d.Stats()
-					_ = d.ExportBundle()
+					_ = d.ExportState()
 				}
 				reads.Add(1)
 				runtime.Gosched() // keep the workload progressing on one CPU

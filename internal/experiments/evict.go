@@ -81,7 +81,7 @@ type EvictReport struct {
 
 	// Encoder plane: one long-lived DACCE, one churn run + forced pass
 	// (= one epoch retirement) per round, streaming profiler attached
-	// in node mode so shard pins exercise ReleaseNodes.
+	// so its shard pins exercise ReleaseNodes.
 	EncoderRounds        int   `json:"encoder_rounds"`
 	EncoderDAGNodesEarly int64 `json:"encoder_dag_nodes_early"`
 	EncoderDAGNodesLate  int64 `json:"encoder_dag_nodes_late_peak"`
