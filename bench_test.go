@@ -296,37 +296,6 @@ func BenchmarkAblationAdaptivity(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIncremental compares full re-encoding against the
-// incremental renumbering extension on a discovery-heavy benchmark:
-// the accounted re-encoding cost (Table 1 "costs") shrinks to the
-// changed region.
-func BenchmarkAblationIncremental(b *testing.B) {
-	pr := mustProfile(b, "403.gcc")
-	w := workload.MustBuild(pr)
-	for _, cfg := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"full", core.Options{}},
-		{"incremental", core.Options{Incremental: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var st *core.Stats
-			for i := 0; i < b.N; i++ {
-				d := core.New(w.P, cfg.opt)
-				m := machine.New(w.P, d, machine.Config{SampleEvery: 256, DropSamples: true, Seed: pr.Seed + 1})
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-				st = d.Stats()
-			}
-			b.ReportMetric(float64(st.GTS), "gTS")
-			b.ReportMetric(float64(st.IncrementalPasses), "incrPasses")
-			b.ReportMetric(st.ReencodeCostMicros(), "reencode_us")
-		})
-	}
-}
-
 // BenchmarkEncodePass measures one re-encoding pass (numbering +
 // back-edge classification) on the largest discovered graph — the
 // latency every stop-the-world pays.

@@ -45,7 +45,7 @@ func main() {
 	sample := flag.Int64("sample", 0, "override the query density (context query every n calls per thread)")
 	forceEpoch := flag.Int64("force-epoch", -1, "override forced re-encoding period in samples (0 disables forcing)")
 	mutate := flag.String("mutate", "", "inject a fault into a scratch DACCE wrapper: skew-id|drop-repetition|stale-epoch")
-	incremental := flag.Bool("incremental", false, "run the DACCE replays with incremental (subgraph) re-encoding and require at least one incremental pass across the sweep")
+	incremental := flag.Bool("incremental", false, "add the dacce-full control leg (the same trace with every forced pass a full renumbering) and require at least one incremental pass across the sweep")
 	shrink := flag.Bool("shrink", false, "delta-debug the first failing spec to a minimal reproducer")
 	shrinkBudget := flag.Int("shrink-budget", 150, "max harness runs the shrinker may spend")
 	saveSpec := flag.String("save-spec", "", "write the first failing spec (shrunk when -shrink) to this JSON file")

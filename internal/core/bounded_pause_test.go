@@ -65,7 +65,7 @@ func diffIndexes(tb testing.TB, epoch uint32, got, want *decodeIndex) {
 // fraction of the program, since the delta touched one caller.
 func TestDeltaIndexAndStubSetAgainstFullRebuild(t *testing.T) {
 	p, base, extra := twoLevelProgram(t, 8, 4, 6)
-	d := New(p, Options{Incremental: true})
+	d := New(p, Options{})
 	d.InjectDiscoveries(base)
 	m := machine.New(p, d, machine.Config{})
 	d.Install(m)
@@ -126,7 +126,7 @@ func TestDeltaIndexAndStubSetAgainstFullRebuild(t *testing.T) {
 // match a from-scratch rebuild of that epoch's assignment.
 func TestDeltaIndexChainMatchesFullOnWorkload(t *testing.T) {
 	p := discoveringProgram(t, 60, 80)
-	d := New(p, Options{Trig: Triggers{NewEdges: 6}, Incremental: true})
+	d := New(p, Options{Trig: Triggers{NewEdges: 6}})
 	m := machine.New(p, d, machine.Config{SampleEvery: 9})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestDeltaIndexChainMatchesFullOnWorkload(t *testing.T) {
 // thread translation are no longer free.
 func TestEpochRecordPhaseAttribution(t *testing.T) {
 	p := discoveringProgram(t, 60, 80)
-	d := New(p, Options{Trig: Triggers{NewEdges: 6}, Incremental: true})
+	d := New(p, Options{Trig: Triggers{NewEdges: 6}})
 	m := machine.New(p, d, machine.Config{SampleEvery: 9})
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestEpochRecordPhaseAttribution(t *testing.T) {
 // History in TestEpochRecordPhaseAttribution.
 func TestSelectiveTranslationCounters(t *testing.T) {
 	p, base, extra := twoLevelProgram(t, 4, 4, 2)
-	d := New(p, Options{Incremental: true})
+	d := New(p, Options{})
 	d.InjectDiscoveries(base)
 	m := machine.New(p, d, machine.Config{})
 	d.Install(m)

@@ -14,19 +14,26 @@ import (
 
 // Triggers configures the adaptive controller (paper §4): re-encoding
 // runs when the number of newly identified edges reaches a threshold,
-// when frequently invoked call paths are not encoded, or when the
-// ccStack is accessed too often. Zero values take the defaults.
+// or when frequently invoked call paths are not encoded. The paper's
+// third trigger, ccStack traffic, is subsumed: the only ccStack traffic
+// a pass can remove is unencoded-edge traffic, which UnencodedCalls
+// already counts; back edges push under every encoding. Only what a
+// pass can encode is counted, so a stationary program stops
+// re-encoding. Zero values take the defaults; the traffic thresholds
+// are scaled by the controller's backoff (×2 per pass, capped at ×16).
 type Triggers struct {
-	// NewEdges re-encodes after this many newly discovered edges.
+	// NewEdges re-encodes after this many newly discovered edges
+	// (reason new_edges). A pass fired by discovery alone renumbers
+	// incrementally.
 	NewEdges int
 	// UnencodedCalls re-encodes after this many invocations of
-	// unencoded edges since the last pass (hot paths not encoded).
+	// non-back unencoded edges since the last pass (reason
+	// unencoded_calls).
 	UnencodedCalls int64
-	// CCOps re-encodes after this many ccStack operations since the
-	// last pass.
-	CCOps int64
-	// HotMissSamples re-encodes after this many samples whose id was in
-	// the marker range (context saved on the ccStack).
+	// HotMissSamples re-encodes after this many samples taken inside a
+	// saved sub-path a pass can encode: the id is in the marker range
+	// and the innermost ccStack entry is not a back edge (reason
+	// hot_path).
 	HotMissSamples int64
 }
 
@@ -34,7 +41,6 @@ type Triggers struct {
 const (
 	DefaultNewEdges       = 24
 	DefaultUnencodedCalls = 1 << 11
-	DefaultCCOps          = 1 << 12
 	DefaultHotMiss        = 32
 )
 
@@ -44,9 +50,6 @@ func (tr *Triggers) fill() {
 	}
 	if tr.UnencodedCalls == 0 {
 		tr.UnencodedCalls = DefaultUnencodedCalls
-	}
-	if tr.CCOps == 0 {
-		tr.CCOps = DefaultCCOps
 	}
 	if tr.HotMissSamples == 0 {
 		tr.HotMissSamples = DefaultHotMiss
@@ -75,14 +78,6 @@ type Options struct {
 	// newly discovered edges stay on the ccStack forever. 0 means
 	// unlimited. (Ablation: "dynamic but not adaptive".)
 	MaxReencodes int
-	// Incremental renumbers only the subgraph affected by newly
-	// discovered edges when the new-edges trigger fires, keeping every
-	// unaffected code identical (extension beyond the paper: the
-	// whole-graph re-encoding cost of Table 1's "costs" column shrinks
-	// to the changed region). Passes fired by the hot-path or ccStack
-	// triggers still re-encode fully, so frequency reordering keeps
-	// happening.
-	Incremental bool
 	// TrackProgress records a Fig. 9-style progress point every
 	// ProgressEvery samples.
 	TrackProgress bool
@@ -252,7 +247,6 @@ type DACCE struct {
 	newEdges    atomic.Int64
 	edgeCount   atomic.Int64
 	unencCalls  atomic.Int64
-	ccOps       atomic.Int64
 	hotMiss     atomic.Int64
 	samplesSeen atomic.Int64
 
@@ -516,9 +510,11 @@ func (d *DACCE) OnSample(t *machine.Thread, capture any) {
 		d.mu.Unlock()
 	}
 
-	if c.ID > snap.maxID && d.hotMiss.Add(1) >= d.opt.Trig.HotMissSamples {
-		d.maybeReencode(t)
-		return
+	// Trigger (b) counts only samples a pass can do something about: the
+	// id is in the marker range and the innermost saved sub-path did not
+	// start at a back edge, which no encoding ever covers (§3.3).
+	if depth := len(c.CC); c.ID > snap.maxID && depth > 0 && !c.CC[depth-1].Rec {
+		d.hotMiss.Add(1)
 	}
 	if d.triggersFired() {
 		d.maybeReencode(t)

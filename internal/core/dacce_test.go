@@ -13,7 +13,6 @@ import (
 var quietTriggers = Triggers{
 	NewEdges:       1 << 30,
 	UnencodedCalls: 1 << 60,
-	CCOps:          1 << 60,
 	HotMissSamples: 1 << 60,
 }
 

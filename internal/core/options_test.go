@@ -178,50 +178,123 @@ func TestIDRangeInvariantUnderBudget(t *testing.T) {
 	}
 }
 
-// TestIncrementalEncoding runs the discovery-heavy workload with
-// incremental re-encoding: decodes must stay exact, incremental passes
-// must actually happen, and the accounted cost must shrink.
+// layeredProgram builds main → mids → leaves with every mid calling
+// every leaf, so each leaf has one in-edge per mid and the numbering
+// gives them distinct nonzero codes. It returns the program and the
+// (site, target) discoveries of its edges, the ones out of the last mid
+// separately: that mid's edges are the delta a pass renumbers.
+func layeredProgram(tb testing.TB, mids, leaves int) (*prog.Program, []Discovery, []Discovery) {
+	tb.Helper()
+	b := prog.NewBuilder()
+	mainF := b.Func("main")
+	var leafFns []prog.FuncID
+	for l := 0; l < leaves; l++ {
+		lf := b.Func("leaf" + string(rune('a'+l)))
+		b.Leaf(lf, 1)
+		leafFns = append(leafFns, lf)
+	}
+	var base, delta []Discovery
+	var mainSites []prog.SiteID
+	for m := 0; m < mids; m++ {
+		mf := b.Func("mid" + string(rune('A'+m)))
+		ms := b.CallSite(mainF, mf)
+		mainSites = append(mainSites, ms)
+		base = append(base, Discovery{Site: ms, Fn: mf, Freq: 10})
+		var sites []prog.SiteID
+		for _, lf := range leafFns {
+			s := b.CallSite(mf, lf)
+			sites = append(sites, s)
+			disc := Discovery{Site: s, Fn: lf, Freq: int64(1 + m)}
+			if m == mids-1 {
+				delta = append(delta, disc)
+			} else {
+				base = append(base, disc)
+			}
+		}
+		b.Body(mf, func(x prog.Exec) {
+			for _, s := range sites {
+				x.Call(s, prog.NoFunc)
+			}
+		})
+	}
+	b.Body(mainF, func(x prog.Exec) {
+		for r := 0; r < 20; r++ {
+			for _, s := range mainSites {
+				x.Call(s, prog.NoFunc)
+			}
+		}
+	})
+	return b.MustBuild(), base, delta
+}
+
+// TestIncrementalEncoding compares a forced full pass with a forced
+// incremental pass over the same InjectDiscoveries delta: the
+// incremental one must splice rather than fall back, renumber fewer
+// edges and cost less, reach the same maxID, and — like the full one —
+// decode every context of a run under the epoch it published exactly.
 func TestIncrementalEncoding(t *testing.T) {
-	p := discoveringProgram(t, 60, 80)
-	run := func(inc bool) (*Stats, []machine.Sample, *DACCE) {
-		d := New(p, Options{Trig: Triggers{NewEdges: 6}, Incremental: inc})
-		m := machine.New(p, d, machine.Config{SampleEvery: 9})
+	p, base, delta := layeredProgram(t, 4, 6)
+	run := func(incremental bool) EpochRecord {
+		d := New(p, Options{Trig: quietTriggers})
+		m := machine.New(p, d, machine.Config{SampleEvery: 3})
+		d.InjectDiscoveries(base)
+		d.Install(m)
+		d.ForceReencode(nil) // epoch 1: the full baseline both passes build on
+		d.InjectDiscoveries(delta)
+		d.ReencodeNow(nil, incremental)
+		st := d.Stats()
+		// Every edge the run executes is already encoded: no trap, no
+		// pass, so every sample is captured under the compared epoch.
 		rs, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Stats(), rs.Samples, d
-	}
-	full, _, _ := run(false)
-	incr, samples, d := run(true)
-	if incr.IncrementalPasses == 0 {
-		t.Fatal("incremental mode never used an incremental pass")
-	}
-	if incr.ReencodeCost >= full.ReencodeCost {
-		t.Errorf("incremental cost %d not below full cost %d", incr.ReencodeCost, full.ReencodeCost)
-	}
-	for _, s := range samples {
-		ctx, err := d.DecodeSample(s)
-		if err != nil {
-			t.Fatalf("sample %d: %v", s.Seq, err)
+		if gts := d.Stats().GTS; gts != st.GTS || len(rs.Samples) == 0 {
+			t.Fatalf("run re-encoded %d more times and took %d samples", gts-st.GTS, len(rs.Samples))
 		}
-		if want := ShadowContext(nil, s.Shadow); !ctx.Equal(want) {
-			t.Fatalf("sample %d: %v != %v", s.Seq, ctx, want)
+		for _, s := range rs.Samples {
+			ctx, err := d.DecodeSample(s)
+			if err != nil {
+				t.Fatalf("sample %d: %v", s.Seq, err)
+			}
+			if want := ShadowContext(nil, s.Shadow); !ctx.Equal(want) {
+				t.Fatalf("sample %d: %v != %v", s.Seq, ctx, want)
+			}
 		}
+		return st.History[len(st.History)-1]
+	}
+	full, incr := run(false), run(true)
+	if full.Incremental {
+		t.Fatal("forced full pass renumbered incrementally")
+	}
+	if !incr.Incremental {
+		t.Fatal("forced incremental pass fell back to a full renumbering")
+	}
+	if incr.ChangedEdges >= full.EncodedEdges {
+		t.Errorf("incremental pass changed %d edges, full pass encodes %d", incr.ChangedEdges, full.EncodedEdges)
+	}
+	if incr.CostCycles >= full.CostCycles {
+		t.Errorf("incremental cost %d not below full cost %d", incr.CostCycles, full.CostCycles)
+	}
+	if incr.MaxID != full.MaxID {
+		t.Errorf("incremental maxID %d, full maxID %d", incr.MaxID, full.MaxID)
 	}
 }
 
-// TestIncrementalOnWorkload cross-validates incremental mode on a full
-// synthetic benchmark with recursion, indirects and tail calls.
+// TestIncrementalOnWorkload cross-validates incremental discovery passes
+// on a full synthetic benchmark with recursion, indirects and tail calls.
 func TestIncrementalOnWorkload(t *testing.T) {
 	// Built via the public profile to avoid an import cycle with
 	// workload: replicate a small profile inline instead.
 	p := discoveringProgram(t, 45, 50)
-	d := New(p, Options{Incremental: true, Trig: Triggers{NewEdges: 4}})
+	d := New(p, Options{Trig: Triggers{NewEdges: 4}})
 	m := machine.New(p, d, machine.Config{SampleEvery: 3})
 	rs, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if d.Stats().IncrementalPasses == 0 {
+		t.Fatal("no discovery pass renumbered incrementally")
 	}
 	bad := 0
 	for _, s := range rs.Samples {

@@ -22,7 +22,8 @@ type passMode uint8
 
 const (
 	// passAuto: trigger-gated; incremental renumbering when only edge
-	// discovery fired (the adaptive regime of paper §4).
+	// discovery fired (the adaptive regime of paper §4), full when an
+	// unencoded path is hot, so hot-first reordering runs exactly then.
 	passAuto passMode = iota
 	// passForceFull: unconditional full renumbering (ForceReencode).
 	passForceFull
@@ -38,11 +39,11 @@ const (
 // the snapshot around keeps the admission check, the discovery-only
 // classification and the reported trigger reason of a single pass
 // consistent with each other, where separate re-loads mid-burst could
-// disagree (e.g. admit on new-edges, then attribute to hot-path because
+// disagree (e.g. admit on new-edges, then renumber fully because
 // unencoded calls crossed their threshold a microsecond later).
 type trigSnap struct {
-	newEdges, unencCalls, ccOps, hotMiss int64
-	newEdgeTh, unencTh, ccTh, hotTh      int64
+	newEdges, unencCalls, hotMiss int64
+	newEdgeTh, unencTh, hotTh     int64
 }
 
 // trigSnapshot reads the trigger counters and thresholds once: a
@@ -52,11 +53,9 @@ func (d *DACCE) trigSnapshot() trigSnap {
 	return trigSnap{
 		newEdges:   d.newEdges.Load(),
 		unencCalls: d.unencCalls.Load(),
-		ccOps:      d.ccOps.Load(),
 		hotMiss:    d.hotMiss.Load(),
 		newEdgeTh:  d.newEdgeThreshold(),
 		unencTh:    d.opt.Trig.UnencodedCalls * scale,
-		ccTh:       d.opt.Trig.CCOps * scale,
 		hotTh:      d.opt.Trig.HotMissSamples * scale,
 	}
 }
@@ -65,24 +64,22 @@ func (d *DACCE) trigSnapshot() trigSnap {
 func (ts trigSnap) fired() bool {
 	return ts.newEdges >= ts.newEdgeTh ||
 		ts.unencCalls >= ts.unencTh ||
-		ts.ccOps >= ts.ccTh ||
 		ts.hotMiss >= ts.hotTh
 }
 
 // discoveryOnly reports that edge discovery alone fired: the regime
-// where incremental renumbering applies. Hot-path and ccStack triggers
-// demand the frequency reordering only a full pass provides.
+// where incremental renumbering applies. The hot-path and
+// unencoded-calls triggers demand the frequency reordering only a full
+// pass provides.
 func (ts trigSnap) discoveryOnly() bool {
 	return ts.newEdges >= ts.newEdgeTh &&
 		ts.unencCalls < ts.unencTh &&
-		ts.ccOps < ts.ccTh &&
 		ts.hotMiss < ts.hotTh
 }
 
-// reason attributes a pass to one of the paper's three triggers
-// (checked in the order new edges → hot paths → ccStack traffic, so
-// simultaneous firings report the cheaper-to-detect cause), or
-// ReasonForced for explicit passes.
+// reason attributes a pass to one trigger (checked in the order new
+// edges → hot paths → unencoded calls, so simultaneous firings report
+// the first), or ReasonForced for explicit passes.
 func (ts trigSnap) reason(force bool) telemetry.Reason {
 	if force {
 		return telemetry.ReasonForced
@@ -90,10 +87,10 @@ func (ts trigSnap) reason(force bool) telemetry.Reason {
 	switch {
 	case ts.newEdges >= ts.newEdgeTh:
 		return telemetry.ReasonNewEdges
-	case ts.unencCalls >= ts.unencTh, ts.hotMiss >= ts.hotTh:
+	case ts.hotMiss >= ts.hotTh:
 		return telemetry.ReasonHotPath
-	case ts.ccOps >= ts.ccTh:
-		return telemetry.ReasonCCOps
+	case ts.unencCalls >= ts.unencTh:
+		return telemetry.ReasonUnencodedCalls
 	}
 	return telemetry.ReasonForced
 }
@@ -168,7 +165,7 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 
 	t0 := time.Now()
 	prev := snap.dicts[len(snap.dicts)-1]
-	wantIncremental := d.opt.Incremental && len(snap.dicts) > 1 &&
+	wantIncremental := len(snap.dicts) > 1 &&
 		(mode == passForceIncremental || (mode == passAuto && trig.discoveryOnly()))
 	if wantIncremental {
 		asn, changed, affected, full := blenc.Refresh(d.g, prev, plan.added,
@@ -417,6 +414,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	d.stats.ReencodeCost += cost
 	d.stats.History = append(d.stats.History, EpochRecord{
 		Epoch:             next.epoch,
+		Reason:            plan.reason,
 		AtSample:          d.samplesSeen.Load(),
 		Nodes:             d.g.NumNodes(),
 		Edges:             d.g.NumEdges(),
@@ -445,7 +443,6 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 
 	d.newEdges.Store(0)
 	d.unencCalls.Store(0)
-	d.ccOps.Store(0)
 	d.hotMiss.Store(0)
 	if b := d.backoff.Load(); b < 4 {
 		d.backoff.Store(b + 1)
@@ -513,9 +510,10 @@ func (d *DACCE) maybeReencode(self *machine.Thread) {
 func (d *DACCE) ForceReencode(exec prog.Exec) { d.ReencodeNow(exec, false) }
 
 // ReencodeNow runs one re-encoding pass immediately, regardless of
-// trigger state. With incremental set (and Options.Incremental on) the
-// pass renumbers only the subgraph affected by edges added since the
-// last pass; otherwise it renumbers fully. Either way the plan is
+// trigger state. With incremental set the pass renumbers only the
+// subgraph affected by edges added since the last pass (falling back to
+// a full renumbering when the splice cannot stay incremental);
+// otherwise it renumbers fully. Either way the plan is
 // prepared off-pause and committed in one short stop-the-world window.
 // Bypasses the reencode gate, so the pass has committed on return even
 // when it races the organizer. exec is the currently executing thread,
@@ -553,7 +551,6 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 			// Ablation cap reached: keep running on the current encoding.
 			d.newEdges.Store(0)
 			d.unencCalls.Store(0)
-			d.ccOps.Store(0)
 			d.hotMiss.Store(0)
 			d.mu.Unlock()
 			return

@@ -1,6 +1,9 @@
 package core
 
-import "dacce/internal/machine"
+import (
+	"dacce/internal/machine"
+	"dacce/internal/telemetry"
+)
 
 // EpochRecord summarizes one re-encoding pass: what it produced,
 // whether it ran incrementally, how much work each phase did, and what
@@ -11,7 +14,8 @@ import "dacce/internal/machine"
 // window.
 type EpochRecord struct {
 	Epoch        uint32
-	AtSample     int64 // samplesSeen when the pass ran (Fig. 9 x-axis)
+	Reason       telemetry.Reason // trigger that admitted the pass, or ReasonForced
+	AtSample     int64            // samplesSeen when the pass ran (Fig. 9 x-axis)
 	Nodes        int
 	Edges        int
 	EncodedEdges int
@@ -74,7 +78,10 @@ type Stats struct {
 	// enclosing frame.
 	TailHeals int
 	// IncrementalPasses counts re-encodings served by the incremental
-	// renumbering (Options.Incremental).
+	// renumbering (blenc.Refresh without fallback). After the first
+	// pass, every pass fired by edge discovery alone and every
+	// ReencodeNow(exec, true) renumbers this way unless the splice falls
+	// back to a full renumbering.
 	IncrementalPasses int
 	// DAGCollections/DAGCollected count DAG reclamation passes run by
 	// maybeCollect and the total context nodes they freed.

@@ -95,7 +95,6 @@ func (d *DACCE) applyAction(t *machine.Thread, st *tls, sid prog.SiteID, target 
 				t.C.TcSaves++
 				t.C.InstrCost += machine.CostTcSave
 				d.unencCalls.Add(1)
-				d.ccOps.Add(1)
 			}
 			return ck
 		}
@@ -103,7 +102,6 @@ func (d *DACCE) applyAction(t *machine.Thread, st *tls, sid prog.SiteID, target 
 		st.id = markID
 		if t != nil {
 			d.unencCalls.Add(1)
-			d.ccOps.Add(1)
 		}
 		return machine.Cookie{Tag: tagPop}
 

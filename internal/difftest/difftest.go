@@ -84,9 +84,8 @@ type Result struct {
 	PCCCollisions int64 `json:"pcc_collisions"`
 	PCCDistinct   int64 `json:"pcc_distinct"`
 	// IncrementalPasses is how many of the DACCE replay's re-encoding
-	// passes ran as subgraph renumberings (Spec.Incremental runs only;
-	// the gate that blenc.Refresh is actually exercised by the sweep's
-	// incremental leg).
+	// passes ran as subgraph renumberings (the gate that blenc.Refresh
+	// is actually exercised by the sweep's incremental leg).
 	IncrementalPasses int `json:"incremental_passes,omitempty"`
 }
 
@@ -106,19 +105,11 @@ func (r *Result) Diverged() bool {
 // promotion.
 func aggressiveOptions(sink telemetry.Sink) core.Options {
 	return core.Options{
-		Trig:              core.Triggers{NewEdges: 4, UnencodedCalls: 64, CCOps: 128, HotMissSamples: 4},
+		Trig:              core.Triggers{NewEdges: 4, UnencodedCalls: 64, HotMissSamples: 4},
 		CompressMinPushes: 4,
 		InlineThreshold:   2,
 		Sink:              sink,
 	}
-}
-
-// dacceOptions folds the spec's encoder knobs into the aggressive
-// harness options (today just the incremental re-encoding leg).
-func dacceOptions(spec Spec, sink telemetry.Sink) core.Options {
-	o := aggressiveOptions(sink)
-	o.Incremental = spec.Incremental
-	return o
 }
 
 // Run executes one full differential check: build the spec's workload,
@@ -223,17 +214,14 @@ func runEncoder(name string, p *prog.Program, tr *trace.Trace, prof pcce.Profile
 	var archive *Archive
 	switch name {
 	case "dacce", "dacce-full":
-		do := dacceOptions(spec, opt.Sink)
-		if name == "dacce-full" {
-			// The full-pass control leg: same spec, same trace, but every
-			// re-encoding recomputes the assignment from scratch. The truth
-			// map pins each query point to the first replay's shadow
-			// context, so agreement of both legs with truth is exactly the
-			// delta-vs-full equivalence gate.
-			do.Incremental = false
-		}
-		d = core.New(rp, do)
-		sch = ForceEpochs(d, spec.ForceEpochEvery)
+		d = core.New(rp, aggressiveOptions(opt.Sink))
+		// dacce-full is the full-pass control leg: same spec, same trace,
+		// but every forced boundary recomputes the assignment from scratch
+		// where the dacce leg splices incrementally. The truth map pins
+		// each query point to the first replay's shadow context, so
+		// agreement of both legs with truth is exactly the delta-vs-full
+		// equivalence gate.
+		sch = forceEpochs(d, spec.ForceEpochEvery, name == "dacce-full")
 		if name == "dacce" {
 			sch, archive = SnapshotArchive(sch, d, spec.SnapshotEvery)
 			if spec.Mutation != "" {

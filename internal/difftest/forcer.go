@@ -15,15 +15,19 @@ import (
 // plants query points immediately on both sides of every epoch
 // boundary — the exact transition the per-epoch dictionaries of paper
 // §4.1 must keep decodable. The forced pass asks for incremental
-// renumbering: an encoder with Options.Incremental exercises its delta
-// path at every boundary, and any other encoder renumbers fully, so a
-// full-pass control leg is unchanged. everySamples <= 0 returns d
-// unchanged.
+// renumbering, so the encoder's delta path runs at every boundary.
+// everySamples <= 0 returns d unchanged.
 func ForceEpochs(d *core.DACCE, everySamples int64) machine.Scheme {
+	return forceEpochs(d, everySamples, false)
+}
+
+// forceEpochs is ForceEpochs with a choice of renumbering: full forces
+// from-scratch passes, the dacce-full control leg's boundaries.
+func forceEpochs(d *core.DACCE, everySamples int64, full bool) machine.Scheme {
 	if everySamples <= 0 {
 		return d
 	}
-	return &epochForcer{d: d, every: everySamples}
+	return &epochForcer{d: d, every: everySamples, full: full}
 }
 
 // epochForcer delegates the full Scheme surface to the encoder and
@@ -32,6 +36,7 @@ func ForceEpochs(d *core.DACCE, everySamples int64) machine.Scheme {
 type epochForcer struct {
 	d     *core.DACCE
 	every int64
+	full  bool
 	n     atomic.Int64
 }
 
@@ -53,7 +58,7 @@ func (f *epochForcer) OnModuleUnload(t *machine.Thread, id prog.ModuleID) { f.d.
 func (f *epochForcer) OnSample(t *machine.Thread, capture any) {
 	f.d.OnSample(t, capture)
 	if f.n.Add(1)%f.every == 0 {
-		f.d.ReencodeNow(t, true)
+		f.d.ReencodeNow(t, !f.full)
 	}
 }
 

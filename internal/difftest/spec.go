@@ -29,8 +29,8 @@ import (
 // AllEncoders lists every context tracker the harness drives, in
 // replay order. The DACCE replay goes first: it establishes the
 // canonical query points every later replay is checked against.
-// "dacce-full" — a second DACCE instance with incremental re-encoding
-// forced off — is not in the default set; withDefaults adds it to
+// "dacce-full" — a second DACCE instance whose forced passes renumber
+// fully — is not in the default set; withDefaults adds it to
 // Incremental specs so the sweep's incremental leg always carries its
 // own full-pass control.
 var AllEncoders = []string{"dacce", "pcce", "cct", "stackwalk", "pcc"}
@@ -69,11 +69,12 @@ type Spec struct {
 	// around the DACCE encoder (see Mutation) — the harness's
 	// self-test that seeded divergences are caught.
 	Mutation string `json:"mutation,omitempty"`
-	// Incremental runs the DACCE replay with incremental (subgraph)
-	// re-encoding enabled — the sweep's second leg, asserting that
-	// splice-renumbered epochs decode identically to full passes. When
-	// Encoders is left to the default, the spec also gains a
-	// "dacce-full" leg: the same trace replayed under full passes, so
+	// Incremental marks the sweep's second leg, asserting that
+	// splice-renumbered epochs decode identically to full passes. The
+	// DACCE replay always renumbers incrementally at forced boundaries
+	// and on discovery-only passes; when Encoders is left to the
+	// default, an Incremental spec also gains a "dacce-full" leg: the
+	// same trace replayed with every forced boundary a full pass, so
 	// incremental-vs-full equivalence is asserted directly (both legs
 	// must match the truth pinned at every query point).
 	Incremental bool `json:"incremental,omitempty"`

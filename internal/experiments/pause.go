@@ -247,7 +247,7 @@ func Pause(cfg PauseConfig) (*PauseReport, error) {
 // epoch — then measures cfg.Reps delta+pass rounds under the given
 // mode.
 func runPauseMode(pp *pauseProgram, edges, delta int, mode string, reps int) (*PauseRow, error) {
-	d := core.New(pp.p, core.Options{Incremental: true})
+	d := core.New(pp.p, core.Options{})
 	// Base edges first, with no machine installed: no stubs exist yet, so
 	// staging skips reps×thousands of per-site rebuilds.
 	d.InjectDiscoveries(pp.discoveries(pp.baseSites, pp.baseFns))

@@ -55,17 +55,17 @@ Paper columns per benchmark: static graph size and maxID under PCCE;
 dynamic graph size, maxID, ccStack rate/depth, re-encoding count (gTS)
 and re-encoding cost under DACCE; call rate.
 
-| benchmark | paper PCCE N/E | meas. PCCE N/E | paper DACCE N/E | meas. DACCE N/E | paper dMaxID | meas. dMaxID | paper gTS | meas. gTS | paper depth | meas. depth |
-|---|---|---|---|---|---|---|---|---|---|---|
+| benchmark | paper PCCE N/E | meas. PCCE N/E | paper DACCE N/E | meas. DACCE N/E | paper dMaxID | meas. dMaxID | paper gTS | meas. gTS | meas. costs(µs) | paper depth | meas. depth |
+|---|---|---|---|---|---|---|---|---|---|---|---|
 `)
 	for _, r := range rows {
 		p := r.Paper
-		fmt.Fprintf(w, "| %s | %d/%d | %d/%d | %d/%d | %d/%d | — | %s | %d | %d | %.2f | %.2f |\n",
+		fmt.Fprintf(w, "| %s | %d/%d | %d/%d | %d/%d | %d/%d | — | %s | %d | %d | %.0f | %.2f | %.2f |\n",
 			r.Profile.Name,
 			p.PCCENodes, p.PCCEEdges, r.PCCE.Nodes, r.PCCE.Edges,
 			p.DACCENodes, p.DACCEEdges, r.DACCE.Nodes, r.DACCE.Edges,
 			stats.SciNotation(r.DACCE.MaxID, false),
-			p.GTS, r.DACCE.GTS, p.Depth, r.DACCE.CCDepth)
+			p.GTS, r.DACCE.GTS, r.DACCE.CostUs, p.Depth, r.DACCE.CCDepth)
 	}
 
 	// Headline checks.
@@ -94,7 +94,13 @@ construction (the generator is calibrated to them); the dynamic graph
 is *discovered*, so measured DACCE nodes/edges landing within ~±20%%
 of the paper's confirms the executed-core calibration. gTS counts land
 in the paper's range (single digits for stable benchmarks, tens to ~100
-for phase-heavy ones).
+for phase-heavy ones). The costs column is the summed model cost of
+all passes (DESIGN.md §6). A pass fired by edge discovery alone
+renumbers incrementally, so most passes are priced by the changed
+region, not the whole graph; passes fired by a hot unencoded path
+still pay for a full renumbering. The PARSEC rows run several machine
+threads, so their gTS, maxID, costs and depth change from run to run
+(the table is one run); the SPEC rows repeat exactly.
 
 `, smallerNodes, len(rows), smallerMaxID, len(rows), overflows)
 }

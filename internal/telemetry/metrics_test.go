@@ -162,7 +162,7 @@ func TestMetricsSink(t *testing.T) {
 		m.Emit(Event{Kind: EvEdgeDiscovered, Site: 1, Fn: 2})
 	}
 	m.Emit(Event{Kind: EvReencodeEnd, Reason: ReasonNewEdges, Epoch: 1, Value: 9000, Aux: 77})
-	m.Emit(Event{Kind: EvReencodeEnd, Reason: ReasonCCOps, Epoch: 2, Value: 100, Aux: 80})
+	m.Emit(Event{Kind: EvReencodeEnd, Reason: ReasonUnencodedCalls, Epoch: 2, Value: 100, Aux: 80})
 	// An aborted pass closes its span but publishes nothing.
 	m.Emit(Event{Kind: EvReencodeEnd, Reason: ReasonNewEdges, Epoch: 7, Aux: 999, Err: true, DurNanos: 5})
 	m.Emit(Event{Kind: EvCCStackPush, Value: 4})
@@ -182,7 +182,7 @@ func TestMetricsSink(t *testing.T) {
 	for _, want := range []string{
 		"dacce_edges_discovered_total 3",
 		`dacce_reencode_total{reason="new_edges"} 1`,
-		`dacce_reencode_total{reason="cc_ops"} 1`,
+		`dacce_reencode_total{reason="unencoded_calls"} 1`,
 		`dacce_reencode_total{reason="forced"} 0`,
 		"dacce_ccstack_push_total 1",
 		"dacce_ccstack_pop_total 1",

@@ -141,7 +141,10 @@ func (k Kind) String() string {
 }
 
 // Reason classifies what fired an adaptive re-encoding pass (paper §4
-// names three triggers; forced passes come from the API).
+// names three triggers; the encoder runs two, one of them through two
+// counters, and forced passes come from the API). Reasons are exported
+// by name (metric labels, trace and flight-recorder fields), never by
+// number.
 type Reason uint8
 
 const (
@@ -149,12 +152,15 @@ const (
 	ReasonNone Reason = iota
 	// ReasonNewEdges is trigger (a): enough newly discovered edges.
 	ReasonNewEdges
-	// ReasonHotPath is trigger (b): frequently invoked call paths are
-	// not encoded (unencoded-call traffic or sampled marker-range ids).
+	// ReasonHotPath is trigger (b) as sampled: enough samples landed in
+	// saved sub-paths a pass can encode.
 	ReasonHotPath
-	// ReasonCCOps is trigger (c): the ccStack is accessed too often.
-	ReasonCCOps
-	// ReasonForced: an explicit ForceReencode call.
+	// ReasonUnencodedCalls is trigger (b) as counted: enough calls
+	// through unencoded, non-back edges. It also covers the paper's
+	// trigger (c), ccStack traffic, since that is the only traffic a
+	// pass can remove.
+	ReasonUnencodedCalls
+	// ReasonForced: an explicit ForceReencode or ReencodeNow call.
 	ReasonForced
 
 	// NumReasons is the number of reason values.
@@ -162,11 +168,11 @@ const (
 )
 
 var reasonNames = [NumReasons]string{
-	ReasonNone:     "none",
-	ReasonNewEdges: "new_edges",
-	ReasonHotPath:  "hot_path",
-	ReasonCCOps:    "cc_ops",
-	ReasonForced:   "forced",
+	ReasonNone:           "none",
+	ReasonNewEdges:       "new_edges",
+	ReasonHotPath:        "hot_path",
+	ReasonUnencodedCalls: "unencoded_calls",
+	ReasonForced:         "forced",
 }
 
 // String returns the reason's snake_case name.

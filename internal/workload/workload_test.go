@@ -168,8 +168,8 @@ func TestPCCESamplesDecode(t *testing.T) {
 	}
 }
 
-// TestIncrementalDecodesOnBenchmarks runs DACCE with incremental
-// re-encoding over mixed-feature benchmarks and cross-validates every
+// TestIncrementalDecodesOnBenchmarks runs DACCE, whose discovery passes
+// renumber incrementally, over mixed-feature benchmarks and cross-validates every
 // sample — recursion, compression, indirect hashes, tail calls, threads
 // all interacting with partially-renumbered dictionaries.
 func TestIncrementalDecodesOnBenchmarks(t *testing.T) {
@@ -178,7 +178,7 @@ func TestIncrementalDecodesOnBenchmarks(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pr := small(t, name, 60_000)
 			w := MustBuild(pr)
-			d := core.New(w.P, core.Options{Incremental: true})
+			d := core.New(w.P, core.Options{})
 			m := w.NewMachine(d, machine.Config{SampleEvery: 41})
 			rs, err := m.Run()
 			if err != nil {

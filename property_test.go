@@ -32,7 +32,7 @@ func TestPropertyDecodeMatchesShadow(t *testing.T) {
 		}
 		enc := core.New(w.P, core.Options{
 			// Aggressive triggers: maximize re-encoding churn.
-			Trig:              core.Triggers{NewEdges: 4, UnencodedCalls: 64, CCOps: 128, HotMissSamples: 4},
+			Trig:              core.Triggers{NewEdges: 4, UnencodedCalls: 64, HotMissSamples: 4},
 			CompressMinPushes: 4,
 			InlineThreshold:   2,
 		})
@@ -82,7 +82,7 @@ func TestPropertyRoundTripAcrossEpochs(t *testing.T) {
 			return false
 		}
 		enc := core.New(w.P, core.Options{
-			Trig:              core.Triggers{NewEdges: 4, UnencodedCalls: 64, CCOps: 128, HotMissSamples: 4},
+			Trig:              core.Triggers{NewEdges: 4, UnencodedCalls: 64, HotMissSamples: 4},
 			CompressMinPushes: 4,
 			InlineThreshold:   2,
 		})
