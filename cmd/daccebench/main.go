@@ -4,27 +4,17 @@
 //	daccebench fig8   [-calls N] [-bench ...]         Figure 8 overhead
 //	daccebench fig9   [-calls N] [-bench ...]         Figure 9 progress series
 //	daccebench fig10  [-calls N] [-bench ...]         Figure 10 depth CDFs
-//	daccebench steady [-threads 1,2,4,8]              steady-state scalability suite
-//	daccebench warmup [-threads 1,2,4,8]              cold-start scalability suite
-//	daccebench obs    [-threads 1,2,4]                observability-overhead suite
-//	daccebench stream [-samples 1000000]              streaming-decode firehose suite
 //	daccebench evict  [-rounds 120]                   epoch-retirement reclamation suite
 //	daccebench adversarial [-targets 2,16,1024]       adversarial-workload suite
 //	daccebench pause  [-edges 10000,1000000]          pause-vs-graph-size suite
 //	daccebench all    [-calls N]                      everything
 //
 // Every subcommand accepts -cpuprofile/-memprofile (pprof output) and
-// -bench-json (machine-readable results; the steady suite's JSON is
-// the committed BENCH_steady_state.json format, the obs suite's the
-// committed BENCH_observability.json format). Results print to stdout;
-// progress goes to stderr.
-//
-// `steady -ccprof-out FILE` attaches the always-on streaming context
-// profiler to the measured encoder and writes the aggregated context
-// profile at exit (pprof protobuf; folded text when the name ends in
-// .folded) — the quickest way to flame-graph what the suite executed.
-// The warmup table reports the STW re-encode pause p50/p99/max each
-// configuration paid, from the encoder's always-on pause histogram.
+// -bench-json (machine-readable results; the evict, adversarial and
+// pause suites write the committed BENCH_evict.json,
+// BENCH_adversarial.json and BENCH_pause.json formats). Results print
+// to stdout; progress goes to stderr. Wall-clock throughput of an
+// instrumented run and of dacced is perfbench's job (perfbench/).
 package main
 
 import (
@@ -45,31 +35,29 @@ import (
 func main() {
 	// Dispatch through run so deferred profile writers flush before the
 	// process exits — os.Exit skips defers.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	if len(os.Args) < 2 {
+// run executes one subcommand (args[0]) with its flags and returns the
+// process exit code.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
 		return 2
 	}
-	cmd := os.Args[1]
+	cmd := args[0]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	calls := fs.Int64("calls", 0, "calls per benchmark (0 = profile default)")
 	benchList := fs.String("bench", "", "comma-separated benchmark subset")
 	sample := fs.Int64("sample", 256, "sampling period in calls")
 	profileFile := fs.String("profiles", "", "JSON file of custom workload profiles (see 'daccebench dump-profiles')")
 	tel := cliutil.AddTelemetry(fs)
-	state := cliutil.AddState(fs)
 	version := cliutil.AddVersion(fs)
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	benchJSON := fs.String("bench-json", "", "write machine-readable results (JSON) to this file")
-	threadsFlag := fs.String("threads", "", "steady: comma-separated thread counts (default 1,2,4,8)")
-	noReplay := fs.Bool("no-replay", false, "warmup: skip the warm-start replay rows")
-	ccprofOut := fs.String("ccprof-out", "", "steady: write the streaming context profile to this file (pprof protobuf; folded text for .folded names)")
-	reps := fs.Int("reps", 0, "obs: steady runs per cell, fastest reported (default 3); pause: measured passes per cell (default 5)")
-	samples := fs.Int64("samples", 0, "stream: firehose decodes per timed pass (default 1000000)")
+	threadsFlag := fs.String("threads", "", "evict: machine threads (default 2); adversarial: churn-leg threads (default 64); a comma-separated list uses its first value")
+	reps := fs.Int("reps", 0, "pause: measured passes per cell (default 5)")
 	rounds := fs.Int("rounds", 0, "evict: epoch retirements per plane (default 120)")
 	targets := fs.String("targets", "", "adversarial: comma-separated mega-indirect target counts (default 2,4,8,16,64,256,1024)")
 	depth := fs.Int("depth", 0, "adversarial: recursion-torture depth (default 100000)")
@@ -77,7 +65,7 @@ func run() int {
 	deltasFlag := fs.String("deltas", "", "pause: comma-separated per-pass injection sizes (default 64,4096)")
 	modesFlag := fs.String("modes", "", "pause: comma-separated modes (default incremental,full)")
 	sloPauseP99 := fs.Float64("slo-pause-p99", 0, "pause: fail if any incremental p99 pause exceeds this many microseconds (0 = off)")
-	_ = fs.Parse(os.Args[2:])
+	_ = fs.Parse(args[1:])
 
 	if *version || cmd == "-version" || cmd == "version" {
 		cliutil.PrintVersion("daccebench")
@@ -126,46 +114,19 @@ func run() int {
 	// subcommand performs; snapshots are written once on the way out.
 	cfg := experiments.RunConfig{Calls: *calls, SampleEvery: *sample, Sink: tel.Sink()}
 	var err error
-	profiles := func() []workload.Profile {
-		if *profileFile != "" {
-			ps, err := workload.LoadProfilesFile(*profileFile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "daccebench:", err)
-				os.Exit(1)
-			}
-			return ps
-		}
-		return selectProfiles(*benchList)
-	}
-
-	if state.Active() && cmd != "steady" {
-		fmt.Fprintln(os.Stderr, "daccebench: -save-state/-load-state only apply to the steady subcommand")
-		return 2
-	}
-
 	switch cmd {
-	case "table1":
-		err = runTable1(profiles(), cfg, false)
-	case "fig8":
-		err = runTable1(profiles(), cfg, true)
+	case "table1", "fig8":
+		err = runTable1(*profileFile, *benchList, cfg, cmd == "fig8")
 	case "fig9":
 		err = runFig9(names(*benchList, experiments.Fig9Names), cfg)
 	case "fig10":
 		err = runFig10(names(*benchList, experiments.Fig10Names), cfg)
 	case "report":
 		out := "EXPERIMENTS.md"
-		if args := fs.Args(); len(args) > 0 {
-			out = args[0]
+		if rest := fs.Args(); len(rest) > 0 {
+			out = rest[0]
 		}
 		err = runReport(out, cfg)
-	case "steady":
-		err = runSteady(*threadsFlag, *calls, *sample, *benchJSON, *ccprofOut, state)
-	case "warmup":
-		err = runWarmup(*threadsFlag, *calls, *sample, *noReplay, *benchJSON)
-	case "obs":
-		err = runObs(*threadsFlag, *calls, *sample, *reps, *benchJSON)
-	case "stream":
-		err = runStream(*threadsFlag, *samples, *calls, *sample, *benchJSON)
 	case "evict":
 		err = runEvict(*threadsFlag, *rounds, *calls, *sample, *benchJSON)
 	case "adversarial":
@@ -173,7 +134,7 @@ func run() int {
 	case "pause":
 		err = runPause(*edgesFlag, *deltasFlag, *modesFlag, *reps, *sloPauseP99, *benchJSON)
 	case "all":
-		if err = runTable1(profiles(), cfg, true); err == nil {
+		if err = runTable1(*profileFile, *benchList, cfg, true); err == nil {
 			if err = runFig9(experiments.Fig9Names, cfg); err == nil {
 				err = runFig10(experiments.Fig10Names, cfg)
 			}
@@ -190,169 +151,6 @@ func run() int {
 		return 1
 	}
 	return 0
-}
-
-// runSteady drives the multi-threaded steady-state scalability suite
-// and renders a summary table; -bench-json additionally writes the full
-// report in the BENCH_steady_state.json format.
-func runSteady(threadsCSV string, callsPerThread, sampleEvery int64, jsonOut, ccprofOut string, state *cliutil.State) error {
-	cfg := experiments.SteadyConfig{
-		CallsPerThread: callsPerThread,
-		SampleEvery:    sampleEvery,
-		LoadState:      state.Load,
-		SaveState:      state.Save,
-		CcprofOut:      ccprofOut,
-	}
-	// The shared -sample default (256) suits the figure benchmarks; the
-	// steady suite wants its own aggressive default so the sampling
-	// controller is part of the measured load.
-	if sampleEvery == 256 {
-		cfg.SampleEvery = 0
-	}
-	// -ccprof-out needs one thread count (each generates its own
-	// program); default to the largest swept elsewhere.
-	if ccprofOut != "" && threadsCSV == "" {
-		cfg.Threads = []int{4}
-	}
-	var err error
-	if cfg.Threads, err = parseThreads(threadsCSV, cfg.Threads); err != nil {
-		return err
-	}
-	rep, err := experiments.SteadyState(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# Steady-state scalability (GOMAXPROCS=%d, NumCPU=%d)\n", rep.GoMaxProcs, rep.NumCPU)
-	fmt.Printf("%-8s %-7s %14s %14s %8s %7s\n",
-		"threads", "phase", "calls/s", "allocs/call", "traps", "epochs")
-	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %-7s %14.0f %14.4f %8d %7d\n",
-			r.Threads, r.Phase, r.CallsPerSec, r.AllocsPerCall, r.HandlerTraps, r.Epochs)
-	}
-	for _, n := range rep.Config.Threads {
-		k := fmt.Sprint(n)
-		if s, ok := rep.Scaling[k]; ok {
-			fmt.Printf("threads=%s scaling=%.2fx\n", k, s)
-		}
-	}
-	if ccprofOut != "" {
-		fmt.Fprintf(os.Stderr, "ccprof: %d contexts written to %s\n", rep.CcprofContexts, ccprofOut)
-	}
-	return writeReport(jsonOut, "steady", rep)
-}
-
-// runWarmup drives the cold-start scalability suite and renders a
-// summary table; -bench-json additionally writes the full report in the
-// BENCH_warmup.json format.
-func runWarmup(threadsCSV string, callsPerThread, sampleEvery int64, noReplay bool, jsonOut string) error {
-	cfg := experiments.WarmupConfig{
-		CallsPerThread: callsPerThread,
-		NoReplay:       noReplay,
-	}
-	// The shared -sample default (256) suits the figure benchmarks; the
-	// warmup suite has its own default (64).
-	if sampleEvery != 256 {
-		cfg.SampleEvery = sampleEvery
-	}
-	var err error
-	if cfg.Threads, err = parseThreads(threadsCSV, cfg.Threads); err != nil {
-		return err
-	}
-	rep, err := experiments.Warmup(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# Cold-start scalability (GOMAXPROCS=%d, NumCPU=%d)\n", rep.GoMaxProcs, rep.NumCPU)
-	fmt.Printf("%-8s %-7s %12s %8s %7s %7s %12s %14s %10s %10s %10s\n",
-		"threads", "phase", "traps/s", "traps", "edges", "passes", "stable-ms", "calls/s",
-		"pause-p50", "pause-p99", "pause-max")
-	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %-7s %12.0f %8d %7d %7d %12.2f %14.0f %8.1fus %8.1fus %8.1fus\n",
-			r.Threads, r.Phase, r.TrapsPerSec, r.HandlerTraps, r.EdgesDiscovered,
-			r.Passes, r.TimeToStableMs, r.CallsPerSec, r.PauseP50Us, r.PauseP99Us, r.PauseMaxUs)
-	}
-	for _, n := range rep.Config.Threads {
-		k := fmt.Sprint(n)
-		if tr, ok := rep.ReplayTraps[k]; ok {
-			fmt.Printf("threads=%s replay-traps=%d\n", k, tr)
-		}
-	}
-	return writeReport(jsonOut, "warmup", rep)
-}
-
-// runObs drives the observability-overhead suite — the steady workload
-// with the plane off, with the streaming context profiler attached, and
-// with the full plane — and renders a summary table; -bench-json
-// additionally writes the full report in the BENCH_observability.json
-// format.
-func runObs(threadsCSV string, callsPerThread, sampleEvery int64, reps int, jsonOut string) error {
-	cfg := experiments.ObservabilityConfig{
-		CallsPerThread: callsPerThread,
-		Reps:           reps,
-	}
-	// The shared -sample default (256) suits the figure benchmarks; the
-	// obs suite has its own default (64) — the plane's cost is
-	// per-sample, so -sample directly sets how hard the suite leans on
-	// it.
-	if sampleEvery != 256 {
-		cfg.SampleEvery = sampleEvery
-	}
-	var err error
-	if cfg.Threads, err = parseThreads(threadsCSV, cfg.Threads); err != nil {
-		return err
-	}
-	rep, err := experiments.Observability(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# Observability overhead (GOMAXPROCS=%d, NumCPU=%d, best of %d)\n",
-		rep.GoMaxProcs, rep.NumCPU, rep.Config.Reps)
-	fmt.Printf("%-8s %-8s %14s %14s %12s %10s\n",
-		"threads", "mode", "calls/s", "allocs/call", "contexts", "overhead")
-	for _, r := range rep.Rows {
-		fmt.Printf("%-8d %-8s %14.0f %14.4f %12d %9.2f%%\n",
-			r.Threads, r.Mode, r.CallsPerSec, r.AllocsPerCall, r.ContextsObserved, r.OverheadPct)
-	}
-	fmt.Printf("max profiler overhead: %.2f%%\n", rep.MaxProfilerOverheadPct)
-	return writeReport(jsonOut, "observability", rep)
-}
-
-// runStream drives the streaming-decode firehose suite — a real capture
-// corpus replayed through the slice and node decode paths far past DAG
-// saturation — and renders a summary; -bench-json additionally writes
-// the full report in the BENCH_dag.json format.
-func runStream(threadsCSV string, samples, callsPerThread, sampleEvery int64, jsonOut string) error {
-	cfg := experiments.StreamConfig{
-		Samples:        samples,
-		CallsPerThread: callsPerThread,
-	}
-	// The shared -sample default (256) suits the figure benchmarks; the
-	// stream suite wants a dense corpus (default 16).
-	if sampleEvery != 256 {
-		cfg.SampleEvery = sampleEvery
-	}
-	threads, err := parseThreads(threadsCSV, nil)
-	if err != nil {
-		return err
-	}
-	if len(threads) > 0 {
-		cfg.Threads = threads[0]
-	}
-	rep, err := experiments.Stream(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# Streaming decode firehose (GOMAXPROCS=%d, NumCPU=%d)\n", rep.GoMaxProcs, rep.NumCPU)
-	fmt.Printf("corpus: %d captures, %d distinct contexts\n", rep.CorpusCaptures, rep.DistinctContexts)
-	fmt.Printf("decoded %d samples per pass:\n", rep.Decoded)
-	fmt.Printf("  slice path: %8.1f ns/sample\n", rep.SliceNsPerSample)
-	fmt.Printf("  node path:  %8.1f ns/sample  (%.2fx, %.4f allocs/sample warm)\n",
-		rep.NodeNsPerSample, rep.NodeSpeedupVsSlice, rep.AllocsPerSampleWarm)
-	fmt.Printf("DAG: %d nodes, %.4f intern hit rate, ~%d bytes (%.1f bytes/distinct context)\n",
-		rep.DAGNodes, rep.InternHitRate, rep.DAGBytesEstimate, rep.BytesPerDistinctContext)
-	fmt.Printf("equality @ depth %d: pointer %0.3f ns/op vs DiffContexts %0.1f ns/op (%.0fx)\n",
-		rep.EqualityDepth, rep.PointerEqNsPerOp, rep.DiffContextsNsPerOp, rep.PointerEqSpeedup)
-	return writeReport(jsonOut, "stream", rep)
 }
 
 // runEvict drives the epoch-retirement reclamation suite — encoder
@@ -553,7 +351,7 @@ func parseThreads(csv string, def []int) ([]int, error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: daccebench {table1|fig8|fig9|fig10|steady|warmup|obs|stream|evict|adversarial|pause|all|report [file]|dump-profiles|version} [-calls N] [-bench a,b] [-sample N] [-threads 1,2,4,8] [-no-replay] [-reps N] [-samples N] [-rounds N] [-targets 2,16,1024] [-depth N] [-edges 10000,1000000] [-deltas 64,4096] [-modes incremental,full] [-slo-pause-p99 US] [-ccprof-out file] [-save-state file] [-load-state file] [-profiles file.json] [-metrics] [-metrics-format prom|json] [-trace-out file.json] [-flight-recorder N] [-cpuprofile file] [-memprofile file] [-bench-json file]")
+	fmt.Fprintln(os.Stderr, "usage: daccebench {table1|fig8|fig9|fig10|evict|adversarial|pause|all|report [file]|dump-profiles|version} [-calls N] [-bench a,b] [-sample N] [-threads N] [-reps N] [-rounds N] [-targets 2,16,1024] [-depth N] [-edges 10000,1000000] [-deltas 64,4096] [-modes incremental,full] [-slo-pause-p99 US] [-profiles file.json] [-metrics] [-metrics-format prom|json] [-trace-out file.json] [-flight-recorder N] [-cpuprofile file] [-memprofile file] [-bench-json file]")
 }
 
 func runReport(path string, cfg experiments.RunConfig) error {
@@ -572,20 +370,25 @@ func runReport(path string, cfg experiments.RunConfig) error {
 	return nil
 }
 
-func selectProfiles(list string) []workload.Profile {
+// loadProfiles returns the workloads a Table 1 run covers: the
+// -profiles file when given, else the -bench subset (all profiles when
+// empty).
+func loadProfiles(file, list string) ([]workload.Profile, error) {
+	if file != "" {
+		return workload.LoadProfilesFile(file)
+	}
 	if list == "" {
-		return workload.Profiles()
+		return workload.Profiles(), nil
 	}
 	var out []workload.Profile
 	for _, n := range strings.Split(list, ",") {
 		pr, ok := workload.ByName(strings.TrimSpace(n))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "daccebench: unknown benchmark %q (see workload.Names)\n", n)
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown benchmark %q (see workload.Names)", n)
 		}
 		out = append(out, pr)
 	}
-	return out
+	return out, nil
 }
 
 func names(list string, def []string) []string {
@@ -599,7 +402,11 @@ func names(list string, def []string) []string {
 	return parts
 }
 
-func runTable1(profiles []workload.Profile, cfg experiments.RunConfig, fig8 bool) error {
+func runTable1(profileFile, benchList string, cfg experiments.RunConfig, fig8 bool) error {
+	profiles, err := loadProfiles(profileFile, benchList)
+	if err != nil {
+		return err
+	}
 	rows, err := experiments.Table1(profiles, cfg, os.Stderr)
 	if err != nil {
 		return err

@@ -176,27 +176,13 @@ func run(out io.Writer, dir string, n int, tree bool, remote, tenant, ccprofOut 
 }
 
 // writeCcprof writes the aggregated profile to path (no-op when path is
-// empty): folded text when the name ends in .folded, gzipped pprof
-// protobuf otherwise.
+// empty) in the format its name selects (ccprof.Profile.WriteFile).
 func writeCcprof(path string, prof *ccprof.Profile) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var werr error
-	if strings.HasSuffix(path, ".folded") {
-		werr = prof.WriteFolded(f)
-	} else {
-		werr = prof.WritePprof(f)
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("writing context profile: %w", werr)
+	if err := prof.WriteFile(path); err != nil {
+		return fmt.Errorf("writing context profile: %w", err)
 	}
 	fmt.Fprintf(os.Stderr, "ccprof: %d contexts written to %s\n", prof.Total(), path)
 	return nil

@@ -9,6 +9,7 @@ package ccprof
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -206,6 +207,24 @@ func (pr *Profile) WriteTree(w io.Writer, minFrac float64) error {
 		return err
 	}
 	return rec(pr.root, 0)
+}
+
+// WriteFile writes the profile to path: folded text when the name ends
+// in .folded, gzipped pprof protobuf otherwise.
+func (pr *Profile) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".folded") {
+		err = pr.WriteFolded(f)
+	} else {
+		err = pr.WritePprof(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // DiffEntry is one context whose weight changed between two profiles.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"dacce/internal/ccdag"
 	"dacce/internal/core"
 	"dacce/internal/machine"
+	"dacce/internal/prog"
 	"dacce/internal/workload"
 )
 
@@ -335,10 +338,8 @@ func TestParseFoldedErrors(t *testing.T) {
 	}
 }
 
-// TestWritePprof checks the hand-encoded protobuf: gzipped, parseable,
-// sample count equal to the number of distinct contexts and value sum
-// equal to the profile total.
-func TestWritePprof(t *testing.T) {
+// tinyProfile aggregates tiny's three contexts with weights 6, 3 and 1.
+func tinyProfile(t *testing.T) (*prog.Program, *Profile) {
 	p, ctxA, ctxB, ctxC := tiny(t)
 	pr := New(p)
 	for i := 0; i < 6; i++ {
@@ -348,7 +349,14 @@ func TestWritePprof(t *testing.T) {
 		pr.Add(ctxB)
 	}
 	pr.Add(ctxC)
+	return p, pr
+}
 
+// TestWritePprof checks the hand-encoded protobuf: gzipped, parseable,
+// sample count equal to the number of distinct contexts and value sum
+// equal to the profile total.
+func TestWritePprof(t *testing.T) {
+	_, pr := tinyProfile(t)
 	var buf bytes.Buffer
 	if err := pr.WritePprof(&buf); err != nil {
 		t.Fatal(err)
@@ -371,6 +379,41 @@ func TestWritePprof(t *testing.T) {
 func TestPprofTotalsRejectsGarbage(t *testing.T) {
 	if _, _, err := PprofTotals(strings.NewReader("not a profile")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestWriteFileBySuffix checks WriteFile's format rule: a .folded name
+// gets folded text, any other name gzipped pprof. Each file is read
+// back as the format its name selects and must carry the profile's
+// total (neither reader accepts the other format).
+func TestWriteFileBySuffix(t *testing.T) {
+	p, pr := tinyProfile(t)
+	dir := t.TempDir()
+	foldedPath := filepath.Join(dir, "x.folded")
+	pprofPath := filepath.Join(dir, "x.pb.gz")
+	for _, path := range []string{foldedPath, pprofPath} {
+		if err := pr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	folded, err := os.ReadFile(foldedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz, err := os.ReadFile(pprofPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ParseFolded(p, bytes.NewReader(folded))
+	if err != nil {
+		t.Fatalf("x.folded is not folded text: %v", err)
+	}
+	_, total, err := PprofTotals(bytes.NewReader(gz))
+	if err != nil {
+		t.Fatalf("x.pb.gz is not a pprof profile: %v", err)
+	}
+	if back.Total() != pr.Total() || total != pr.Total() {
+		t.Fatalf("totals: folded %d, pprof %d, want %d", back.Total(), total, pr.Total())
 	}
 }
 

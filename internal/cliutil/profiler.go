@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"dacce/internal/ccprof"
@@ -129,21 +128,10 @@ func (p *Profiler) Finish() error {
 	if p.CcprofOut == "" || p.prof == nil {
 		return nil
 	}
-	f, err := os.Create(p.CcprofOut)
-	if err != nil {
+	pr := p.prof.Profile()
+	if err := pr.WriteFile(p.CcprofOut); err != nil {
 		return fmt.Errorf("writing context profile: %w", err)
 	}
-	if strings.HasSuffix(p.CcprofOut, ".folded") {
-		err = p.prof.WriteFolded(f)
-	} else {
-		err = p.prof.WritePprof(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("writing context profile: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "ccprof: %d contexts written to %s\n", p.prof.Total(), p.CcprofOut)
+	fmt.Fprintf(os.Stderr, "ccprof: %d contexts written to %s\n", pr.Total(), p.CcprofOut)
 	return nil
 }

@@ -227,10 +227,10 @@ type DACCE struct {
 	collectFloor atomic.Uint64
 
 	// Always-on latency histograms over the runtime's own control
-	// points. They exist regardless of any sink — the warmup suite
-	// reads pause quantiles from every run and the SLO watchdog needs
-	// live sources — and they are off the per-call fast path: a pass,
-	// a trap and an external decode are each rare enough that one
+	// points. They exist regardless of any sink — daccerun prints pause
+	// quantiles, perfbench reads the trap p50 and the SLO watchdog needs
+	// live sources — and they are off the per-call fast path: a pass, a
+	// trap and an external decode are each rare enough that one
 	// lock-free Observe is noise.
 	pauseHist  *telemetry.Histogram // STW re-encoding pause, wall ns
 	trapHist   *telemetry.Histogram // runtime-handler trap latency, wall ns

@@ -108,8 +108,9 @@ type EvictReport struct {
 	AllocsPerWarmDecode float64 `json:"allocs_per_warm_decode"`
 }
 
-// evictProfile is the churn workload: like the steady profile but
-// smaller per round, so a hundred rounds stay cheap.
+// evictProfile is the churn workload: a mid-size single-phase program
+// with indirect and recursive sites, small per round so a hundred
+// rounds stay cheap.
 func evictProfile(threads int, calls int64) workload.Profile {
 	return workload.Profile{
 		Name:          fmt.Sprintf("evict-%dt", threads),

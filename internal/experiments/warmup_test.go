@@ -83,6 +83,31 @@ func diffColdStart(t *testing.T, d *core.DACCE, w *workload.Workload) string {
 	return ""
 }
 
+// warmupProfile is the synthetic cold-start workload for n threads: a
+// wide, edge-dense executed core so the first thousands of calls are
+// almost all first invocations, and a thick indirect-site population
+// whose per-site rebuilds keep the handler's site shards busy. The
+// per-thread call budget is deliberately small —
+// the test exercises the discovery burst, not the steady state after
+// it.
+func warmupProfile(n int, callsPerThread int64) workload.Profile {
+	return workload.Profile{
+		Name:          fmt.Sprintf("warmup-%dt", n),
+		Seed:          0xC0DD,
+		ExecFuncs:     520,
+		ExecEdges:     2_600,
+		Layers:        12,
+		IndirectSites: 48,
+		ActualTargets: 6,
+		RecSites:      2,
+		RecProb:       0.3,
+		RecStartProb:  0.05,
+		Threads:       n,
+		TotalCalls:    callsPerThread * int64(n),
+		Phases:        1,
+	}
+}
+
 // TestConcurrentColdStart is the cold-start correctness gate: four
 // goroutine threads trap the same cold graph through the sharded
 // discovery path (run under -race in CI), and the final graph must hold

@@ -298,31 +298,3 @@ func Multi(sinks ...Sink) Sink {
 	}
 	return live
 }
-
-// filterSink forwards only selected kinds.
-type filterSink struct {
-	mask uint32
-	next Sink
-}
-
-func (f filterSink) Emit(ev Event) {
-	if ev.Kind < NumKinds && f.mask&(1<<ev.Kind) != 0 {
-		f.next.Emit(ev)
-	}
-}
-
-// Filter returns a sink forwarding only the listed kinds to next — the
-// way to subscribe a heavy consumer to rare events without paying for
-// the ccStack flood.
-func Filter(next Sink, kinds ...Kind) Sink {
-	if next == nil {
-		return nil
-	}
-	var mask uint32
-	for _, k := range kinds {
-		if k < NumKinds {
-			mask |= 1 << k
-		}
-	}
-	return filterSink{mask: mask, next: next}
-}

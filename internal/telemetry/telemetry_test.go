@@ -76,23 +76,6 @@ func TestMulti(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	var c CountingSink
-	f := Filter(&c, EvReencodeStart, EvReencodeEnd)
-	f.Emit(Event{Kind: EvCCStackPush})
-	f.Emit(Event{Kind: EvReencodeStart})
-	f.Emit(Event{Kind: EvReencodeEnd})
-	if c.Total() != 2 {
-		t.Errorf("filtered total = %d, want 2", c.Total())
-	}
-	if c.Count(EvCCStackPush) != 0 {
-		t.Error("filter leaked an excluded kind")
-	}
-	if Filter(nil, EvSample) != nil {
-		t.Error("Filter(nil) should be nil")
-	}
-}
-
 func TestEventString(t *testing.T) {
 	ev := Event{
 		Kind: EvEdgeDiscovered, Thread: 3, Epoch: 2,

@@ -3,21 +3,17 @@
 // controller. The gates are tests, not benchmarks, so `go test ./...`
 // fails if an allocation sneaks back into a path the snapshot design
 // made allocation-free; the benchmarks report the same paths' wall
-// cost and allocs/op for trend tracking. The multi-threaded scalability
-// suite itself lives in internal/experiments (SteadyState) and is
-// driven by `daccebench steady`; BenchmarkSteadyScaling runs a reduced
-// version here so `go test -bench Steady` shows the shape without the
-// full sweep.
+// cost and allocs/op for trend tracking. The wall cost of a whole
+// instrumented run is perfbench's encode-steady workload, whose traced
+// mode splits it per layer (core.sample_ns, ccprof.observe_ns).
 package dacce_test
 
 import (
-	"fmt"
 	"testing"
 
 	"dacce"
 	"dacce/internal/ccprof"
 	"dacce/internal/core"
-	"dacce/internal/experiments"
 	"dacce/internal/machine"
 	"dacce/internal/prog"
 )
@@ -128,8 +124,8 @@ func TestOnSampleNoAllocs(t *testing.T) {
 // context has been interned, re-decoding a sample of it into its
 // canonical node touches neither the heap nor any lock — the pooled
 // scratch and the DAG's lock-free read path cover the whole decode.
-// This is the invariant the streaming pipeline's firehose pricing
-// (`daccebench stream`) rests on.
+// This is the invariant a streaming consumer's per-sample cost rests
+// on.
 func TestDecodeSampleNodeNoAllocs(t *testing.T) {
 	f := newSteadyFixture(t)
 	defer f.close()
@@ -258,35 +254,5 @@ func BenchmarkOnSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.sampleOnce()
-	}
-}
-
-// BenchmarkSteadyScaling runs a reduced steady-state suite per thread
-// count: warm-up on a fresh encoder, then the steady run whose
-// throughput is reported. The full sweep is `daccebench steady`.
-func BenchmarkSteadyScaling(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("%dthreads", n), func(b *testing.B) {
-			var rep *experiments.SteadyReport
-			for i := 0; i < b.N; i++ {
-				var err error
-				rep, err = experiments.SteadyState(experiments.SteadyConfig{
-					Threads:        []int{n},
-					CallsPerThread: 60_000,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, row := range rep.Rows {
-				switch row.Phase {
-				case "steady":
-					b.ReportMetric(row.CallsPerSec, "steady_calls/s")
-					b.ReportMetric(row.AllocsPerCall, "steady_allocs/call")
-				case "warmup":
-					b.ReportMetric(row.CallsPerSec, "warm_calls/s")
-				}
-			}
-		})
 	}
 }
