@@ -18,10 +18,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -167,7 +172,7 @@ func runEvict(threadsCSV string, rounds int, callsPerRound, sampleEvery int64, j
 	if sampleEvery != 256 {
 		cfg.SampleEvery = sampleEvery
 	}
-	threads, err := parseThreads(threadsCSV, nil)
+	threads, err := parseInts("threads", threadsCSV, nil)
 	if err != nil {
 		return err
 	}
@@ -222,11 +227,11 @@ func runAdversarial(targetsCSV, threadsCSV string, calls, sampleEvery int64, dep
 		cfg.SampleEvery = sampleEvery
 	}
 	var err error
-	if cfg.Targets, err = parseThreads(targetsCSV, cfg.Targets); err != nil {
-		return fmt.Errorf("bad -targets list: %w", err)
+	if cfg.Targets, err = parseInts("targets", targetsCSV, cfg.Targets); err != nil {
+		return err
 	}
 	// -threads picks the churn leg's thread count (first value wins).
-	churn, err := parseThreads(threadsCSV, nil)
+	churn, err := parseInts("threads", threadsCSV, nil)
 	if err != nil {
 		return err
 	}
@@ -277,11 +282,11 @@ func runPause(edgesCSV, deltasCSV, modesCSV string, reps int, sloPauseP99 float6
 		SLOPauseP99Us: sloPauseP99,
 	}
 	var err error
-	if cfg.Edges, err = parseThreads(edgesCSV, nil); err != nil {
-		return fmt.Errorf("bad -edges list: %w", err)
+	if cfg.Edges, err = parseInts("edges", edgesCSV, nil); err != nil {
+		return err
 	}
-	if cfg.Deltas, err = parseThreads(deltasCSV, nil); err != nil {
-		return fmt.Errorf("bad -deltas list: %w", err)
+	if cfg.Deltas, err = parseInts("deltas", deltasCSV, nil); err != nil {
+		return err
 	}
 	if modesCSV != "" {
 		for _, m := range strings.Split(modesCSV, ",") {
@@ -333,9 +338,9 @@ func writeReport(path, suite string, rep any) error {
 	return nil
 }
 
-// parseThreads parses a -threads CSV, returning def untouched when the
-// flag was not given.
-func parseThreads(csv string, def []int) ([]int, error) {
+// parseInts parses the comma-separated positive integers of flag
+// -name, returning def untouched when the flag was not given.
+func parseInts(name, csv string, def []int) ([]int, error) {
 	if csv == "" {
 		return def, nil
 	}
@@ -343,7 +348,7 @@ func parseThreads(csv string, def []int) ([]int, error) {
 	for _, part := range strings.Split(csv, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -threads value %q", part)
+			return nil, fmt.Errorf("bad -%s value %q", name, part)
 		}
 		out = append(out, n)
 	}
@@ -354,20 +359,85 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "usage: daccebench {table1|fig8|fig9|fig10|evict|adversarial|pause|all|report [file]|dump-profiles|version} [-calls N] [-bench a,b] [-sample N] [-threads N] [-reps N] [-rounds N] [-targets 2,16,1024] [-depth N] [-edges 10000,1000000] [-deltas 64,4096] [-modes incremental,full] [-slo-pause-p99 US] [-profiles file.json] [-metrics] [-metrics-format prom|json] [-trace-out file.json] [-flight-recorder N] [-cpuprofile file] [-memprofile file] [-bench-json file]")
 }
 
+// runReport regenerates the report at path: the header and the Table 1
+// and Figure 8–10 sections are rewritten, every later section is kept.
 func runReport(path string, cfg experiments.RunConfig) error {
 	if cfg.Calls == 0 {
 		cfg.Calls = 300_000
 	}
-	f, err := os.Create(path)
+	err := updateReport(path, func(w io.Writer) error {
+		return experiments.WriteReport(w, cfg, os.Stderr)
+	})
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteReport(f, cfg, os.Stderr); err != nil {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, "report written to", path)
 	return nil
+}
+
+// updateReport replaces the generated block of the report at path with
+// generate's output and carries the hand-written tail (reportTail) over
+// byte for byte. The tail is read before generating, so a file that is
+// not a report fails fast. The result goes to a temporary file beside
+// path that is renamed over it, so a failed or interrupted run leaves
+// path as it was.
+func updateReport(path string, generate func(io.Writer) error) error {
+	tail, mode, err := reportTail(path)
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := generate(&buf); err != nil {
+		return err
+	}
+	buf.Write(tail)
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(buf.Bytes())
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), mode)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// reportTail returns the hand-written part of the report at path —
+// everything from the first "## " heading after the last generated
+// section's heading on — and the file's mode. A missing file has no
+// tail (mode 0644). An existing file without the generated block's
+// last heading is not a report, and rewriting it would destroy it.
+func reportTail(path string) ([]byte, fs.FileMode, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0o644, nil
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	last := []byte("\n" + experiments.LastGeneratedHeading + "\n")
+	i := bytes.Index(data, last)
+	if i < 0 {
+		return nil, 0, fmt.Errorf("%s has no %q section; not overwriting it", path, experiments.LastGeneratedHeading)
+	}
+	rest := data[i+len(last):]
+	if j := bytes.Index(rest, []byte("\n## ")); j >= 0 {
+		return rest[j+1:], info.Mode().Perm(), nil
+	}
+	return nil, info.Mode().Perm(), nil
 }
 
 // loadProfiles returns the workloads a Table 1 run covers: the

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"dacce/internal/graph"
-	"dacce/internal/prog"
 )
 
 // freqOf reads an edge's observed frequency atomically: encoding passes
@@ -50,17 +49,27 @@ type Code struct {
 }
 
 // Assignment is an immutable snapshot of one encoding pass: the decode
-// dictionary for one gTimeStamp epoch (paper Fig. 6). An edge present in
-// Codes existed when the pass ran; later edges are absent.
+// dictionary for one gTimeStamp epoch (paper Fig. 6). It is stored
+// densely against the append-only graph the pass ran on: Codes is
+// indexed by Edge.Seq and NumCC by Node.Seq, so the edges and nodes
+// that existed when the pass ran are exactly the first len(Codes) edges
+// and the first len(NumCC) nodes, and later ones are absent. Keying
+// NumCC by node sequence rather than FuncID keeps a dictionary
+// proportional to the discovered graph, not to the program (483.xalancbmk
+// has 12,535 functions but discovers about 2,200 of them).
 type Assignment struct {
 	// MaxID is the maximum context id assignable under this encoding;
 	// run-time ids in (MaxID, 2*MaxID+1] mark sub-paths with saved
 	// context on the ccStack.
 	MaxID uint64
-	// NumCC maps each node to its number of calling contexts (≥ 1).
-	NumCC map[prog.FuncID]uint64
-	// Codes maps every edge that existed at snapshot time to its code.
-	Codes map[graph.EdgeKey]Code
+	// NumCC holds each node's number of calling contexts (≥ 1), indexed
+	// by Node.Seq. A 0 entry means the node did not exist at the pass
+	// (only restored dictionaries, whose graph was rebuilt in another
+	// node order, have such holes).
+	NumCC []uint64
+	// Codes holds the code of every edge that existed at snapshot time,
+	// indexed by Edge.Seq.
+	Codes []Code
 	// Overflowed reports that the unrestricted encoding exceeded the
 	// budget and cold edges were excluded to fit.
 	Overflowed bool
@@ -75,10 +84,21 @@ type Assignment struct {
 }
 
 // CodeOf returns the code for an edge and whether the edge existed at
-// snapshot time.
+// snapshot time. Safe to call concurrently with edge registration.
 func (a *Assignment) CodeOf(e *graph.Edge) (Code, bool) {
-	c, ok := a.Codes[graph.EdgeKey{Site: e.Site, Target: e.Target}]
-	return c, ok
+	if seq := e.Seq(); seq >= 0 && seq < len(a.Codes) {
+		return a.Codes[seq], true
+	}
+	return Code{}, false
+}
+
+// NumCCOf returns the number of calling contexts of n at snapshot time,
+// or 0 if n is nil or did not exist then.
+func (a *Assignment) NumCCOf(n *graph.Node) uint64 {
+	if n != nil && n.Seq < len(a.NumCC) {
+		return a.NumCC[n.Seq]
+	}
+	return 0
 }
 
 // Options configures an encoding pass.
@@ -197,21 +217,22 @@ func Encode(g *graph.Graph, opt Options) *Assignment {
 // returns the assignment and whether any numCC saturated.
 func pass(g *graph.Graph, topo []*graph.Node, eligible func(*graph.Edge) bool, excluded map[*graph.Edge]bool, hotFirst bool) (*Assignment, bool) {
 	a := &Assignment{
-		NumCC: make(map[prog.FuncID]uint64, len(topo)),
-		Codes: make(map[graph.EdgeKey]Code, g.NumEdges()),
+		NumCC: make([]uint64, g.NumNodes()),
+		Codes: make([]Code, g.NumEdges()),
 	}
 	saturated := false
 
 	// Record every live edge so the decode dictionary knows the graph
 	// shape of this epoch.
-	for _, e := range g.Edges {
-		a.Codes[graph.EdgeKey{Site: e.Site, Target: e.Target}] = Code{Back: e.Back}
+	for i, e := range g.Edges {
+		a.Codes[i] = Code{Back: e.Back}
 	}
 
+	var ins []*graph.Edge
 	for _, n := range topo {
 		// Gather eligible in-edges, hottest first. Ties break on
 		// insertion order for determinism.
-		ins := make([]*graph.Edge, 0, len(n.In))
+		ins = ins[:0]
 		for _, e := range n.In {
 			if eligible(e) && !excluded[e] {
 				ins = append(ins, e)
@@ -223,19 +244,17 @@ func pass(g *graph.Graph, topo []*graph.Node, eligible func(*graph.Edge) bool, e
 				if fi != fj {
 					return fi > fj
 				}
-				return ins[i].Seq < ins[j].Seq
+				return ins[i].Seq() < ins[j].Seq()
 			})
 		}
 		var acc uint64
 		for _, e := range ins {
-			key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-			c := a.Codes[key]
+			c := &a.Codes[e.Seq()]
 			c.Encoded = true
 			c.Value = acc
-			a.Codes[key] = c
 			a.EncodedEdges++
 			var over bool
-			acc, over = satAdd(acc, a.NumCC[e.Caller])
+			acc, over = satAdd(acc, a.NumCCOf(g.Node(e.Caller)))
 			saturated = saturated || over
 		}
 		// Every node has at least one context: the entry, nodes reached
@@ -244,7 +263,7 @@ func pass(g *graph.Graph, topo []*graph.Node, eligible func(*graph.Edge) bool, e
 		if acc == 0 {
 			acc = 1
 		}
-		a.NumCC[n.Fn] = acc
+		a.NumCC[n.Seq] = acc
 		if acc-1 > a.MaxID {
 			a.MaxID = acc - 1
 		}

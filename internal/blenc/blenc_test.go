@@ -31,7 +31,7 @@ func TestFig1Numbering(t *testing.T) {
 	a := Encode(g, Options{})
 	wantNumCC := map[string]uint64{"A": 1, "B": 1, "C": 1, "D": 2, "E": 2, "F": 2}
 	for name, want := range wantNumCC {
-		if got := a.NumCC[fx.F(name)]; got != want {
+		if got := a.NumCCOf(g.Node(fx.F(name))); got != want {
 			t.Errorf("numCC(%s) = %d, want %d", name, got, want)
 		}
 	}
@@ -99,8 +99,8 @@ func TestBackEdgesNeverEncoded(t *testing.T) {
 	}
 	// The rest of the graph is acyclic and must be encoded: paths ACD
 	// and AD give D two contexts.
-	if a.NumCC[fx.F("D")] != 2 {
-		t.Errorf("numCC(D) = %d, want 2", a.NumCC[fx.F("D")])
+	if got := a.NumCCOf(g.Node(fx.F("D"))); got != 2 {
+		t.Errorf("numCC(D) = %d, want 2", got)
 	}
 }
 
@@ -158,9 +158,9 @@ func TestOverflowBudgeting(t *testing.T) {
 		t.Error("overflow handled without excluding any edge")
 	}
 	// Every node still has at least one context.
-	for fn, n := range a.NumCC {
+	for seq, n := range a.NumCC {
 		if n == 0 {
-			t.Errorf("numCC(f%d) = 0", fn)
+			t.Errorf("numCC(%s) = 0", g.NodeSeq[seq].Name())
 		}
 	}
 }
@@ -219,10 +219,10 @@ func TestCodesPartitionRange(t *testing.T) {
 			if c.Value != covered {
 				t.Errorf("node %s: edge %v code %d, want prefix sum %d", n.Name(), e, c.Value, covered)
 			}
-			covered += a.NumCC[e.Caller]
+			covered += a.NumCCOf(g.Node(e.Caller))
 		}
-		if covered != 0 && covered != a.NumCC[n.Fn] {
-			t.Errorf("node %s: codes cover %d of %d contexts", n.Name(), covered, a.NumCC[n.Fn])
+		if covered != 0 && covered != a.NumCCOf(n) {
+			t.Errorf("node %s: codes cover %d of %d contexts", n.Name(), covered, a.NumCCOf(n))
 		}
 	}
 }
@@ -233,7 +233,7 @@ func TestEncodeDeterministic(t *testing.T) {
 		return Encode(g, Options{})
 	}
 	a, b := enc(), enc()
-	if a.MaxID != b.MaxID || a.EncodedEdges != b.EncodedEdges {
+	if a.MaxID != b.MaxID || a.EncodedEdges != b.EncodedEdges || len(a.Codes) != len(b.Codes) {
 		t.Fatal("Encode not deterministic")
 	}
 	for k, v := range a.Codes {

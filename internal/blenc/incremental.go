@@ -17,19 +17,24 @@ import (
 // for the frequent new-edges trigger and reserve full re-encodes for
 // frequency reordering.
 //
-// Refresh falls back to a full Encode (and reports it) when the
-// additions change any back-edge classification — a new cycle
-// invalidates prev's structure — or when the budget is exceeded.
+// The new dictionary starts as a copy of prev's two dense tables,
+// extended by the edges and nodes registered since; only the in-edges
+// of renumbered nodes are written after that. Refresh falls back to a
+// full Encode (and reports it) when the additions change any back-edge
+// classification — a new cycle invalidates prev's structure — or when
+// the budget is exceeded.
 //
 // The returned changed set lists the edges whose codes differ from
-// prev (including the new ones); the caller only needs to repatch
-// those sites. affected is the set of renumbered nodes — a superset of
-// the targets of changed edges, needed by delta decode-index rebuilds
-// because a node's in-edge ranges depend on its callers' numCC, which
-// can change even when no in-edge code does (e.g. a single in-edge
-// keeps code 0 while its caller's numCC grows). affected is nil when
-// full is true (everything changed).
-func Refresh(g *graph.Graph, prev *Assignment, added []*graph.Edge, opt Options) (a *Assignment, changed []graph.EdgeKey, affected map[prog.FuncID]bool, full bool) {
+// prev: every edge registered since prev, plus each renumbered in-edge
+// whose code moved, collected during the renumbering itself. The caller
+// only needs to repatch those sites. affected is the set of renumbered
+// nodes — a superset of the targets of changed non-back edges, needed
+// by delta decode-index rebuilds because a node's in-edge ranges depend
+// on its callers' numCC, which can change even when no in-edge code
+// does (e.g. a single in-edge keeps code 0 while its caller's numCC
+// grows). affected is nil and changed lists every edge when full is
+// true (everything changed).
+func Refresh(g *graph.Graph, prev *Assignment, added []*graph.Edge, opt Options) (a *Assignment, changed []*graph.Edge, affected map[prog.FuncID]bool, full bool) {
 	budget := opt.Budget
 	if budget == 0 {
 		budget = DefaultBudget
@@ -38,16 +43,15 @@ func Refresh(g *graph.Graph, prev *Assignment, added []*graph.Edge, opt Options)
 	// Reclassify: cheap relative to renumbering, and required for
 	// soundness (a new edge can make an old edge a back edge).
 	g.ClassifyBackEdges()
-	for _, e := range g.Edges {
-		key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-		if prevCode, ok := prev.Codes[key]; ok && prevCode.Back != e.Back {
-			return fullRefresh(g, prev, opt)
+	for i, pc := range prev.Codes {
+		if pc.Back != g.Edges[i].Back {
+			return fullRefresh(g, opt)
 		}
 	}
 	if prev.Overflowed {
 		// prev excluded cold edges; the exclusion set depends on global
 		// frequencies, so recompute fully.
-		return fullRefresh(g, prev, opt)
+		return fullRefresh(g, opt)
 	}
 
 	// Affected set: targets of added edges plus everything reachable
@@ -79,74 +83,77 @@ func Refresh(g *graph.Graph, prev *Assignment, added []*graph.Edge, opt Options)
 		}
 	}
 
+	// Start from prev: unaffected nodes keep numCC, old edges keep their
+	// codes, and every edge registered since prev is present, uncoded,
+	// and changed.
 	a = &Assignment{
-		NumCC: make(map[prog.FuncID]uint64, len(prev.NumCC)+len(affected)),
-		Codes: make(map[graph.EdgeKey]Code, g.NumEdges()),
+		NumCC: make([]uint64, g.NumNodes()),
+		Codes: make([]Code, g.NumEdges()),
 	}
-	// Start from prev: unaffected nodes keep numCC; every current edge
-	// is present in the snapshot.
-	for fn, n := range prev.NumCC {
-		a.NumCC[fn] = n
-	}
-	for _, e := range g.Edges {
-		key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-		if c, ok := prev.Codes[key]; ok {
-			a.Codes[key] = c
-		} else {
-			a.Codes[key] = Code{Back: e.Back}
-		}
+	copy(a.NumCC, prev.NumCC)
+	copy(a.Codes, prev.Codes)
+	for _, e := range g.Edges[len(prev.Codes):] {
+		a.Codes[e.Seq()] = Code{Back: e.Back}
+		changed = append(changed, e)
 	}
 
 	// Renumber affected nodes in topological order, keeping prev's
-	// in-edge order and appending edges prev never saw.
+	// in-edge order and appending edges prev never saw. Each in-edge's
+	// previous code is fetched once, before ranking.
+	type ranked struct {
+		e   *graph.Edge
+		old bool   // encoded in prev
+		val uint64 // prev's code, when old
+	}
+	var ins []ranked
 	for _, n := range g.TopoOrder() {
 		if !affected[n.Fn] {
-			if _, ok := a.NumCC[n.Fn]; !ok {
+			if a.NumCC[n.Seq] == 0 {
 				// Unaffected but also unknown to prev (isolated new
 				// node): every node carries at least one context.
-				a.NumCC[n.Fn] = 1
+				a.NumCC[n.Seq] = 1
 			}
 			continue
 		}
-		ins := make([]*graph.Edge, 0, len(n.In))
+		ins = ins[:0]
 		for _, e := range n.In {
 			if !e.Back && (opt.Exclude == nil || !opt.Exclude(e)) {
-				ins = append(ins, e)
+				pc, ok := prev.CodeOf(e)
+				ins = append(ins, ranked{e: e, old: ok && pc.Encoded, val: pc.Value})
 			}
 		}
 		sort.SliceStable(ins, func(i, j int) bool {
-			ci, iOld := prev.Codes[graph.EdgeKey{Site: ins[i].Site, Target: ins[i].Target}]
-			cj, jOld := prev.Codes[graph.EdgeKey{Site: ins[j].Site, Target: ins[j].Target}]
-			iOld = iOld && ci.Encoded
-			jOld = jOld && cj.Encoded
+			ri, rj := &ins[i], &ins[j]
 			switch {
-			case iOld && jOld:
-				return ci.Value < cj.Value // previous order
-			case iOld:
+			case ri.old && rj.old:
+				return ri.val < rj.val // previous order
+			case ri.old:
 				return true // old edges before new ones
-			case jOld:
+			case rj.old:
 				return false
 			default:
-				return ins[i].Seq < ins[j].Seq
+				return ri.e.Seq() < rj.e.Seq()
 			}
 		})
 		var acc uint64
-		for _, e := range ins {
-			key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-			c := a.Codes[key]
+		for _, r := range ins {
+			seq := r.e.Seq()
+			c := &a.Codes[seq]
 			c.Encoded = true
 			c.Value = acc
-			a.Codes[key] = c
+			if seq < len(prev.Codes) && *c != prev.Codes[seq] {
+				changed = append(changed, r.e)
+			}
 			var over bool
-			acc, over = satAdd(acc, a.NumCC[e.Caller])
+			acc, over = satAdd(acc, a.NumCCOf(g.Node(r.e.Caller)))
 			if over {
-				return fullRefresh(g, prev, opt)
+				return fullRefresh(g, opt)
 			}
 		}
 		if acc == 0 {
 			acc = 1
 		}
-		a.NumCC[n.Fn] = acc
+		a.NumCC[n.Seq] = acc
 	}
 
 	for _, n := range a.NumCC {
@@ -156,19 +163,11 @@ func Refresh(g *graph.Graph, prev *Assignment, added []*graph.Edge, opt Options)
 	}
 	a.UnrestrictedMaxID = a.MaxID
 	if a.MaxID > budget {
-		return fullRefresh(g, prev, opt)
+		return fullRefresh(g, opt)
 	}
 	for _, c := range a.Codes {
 		if c.Encoded {
 			a.EncodedEdges++
-		}
-	}
-
-	// Changed set: differences against prev.
-	for key, c := range a.Codes {
-		pc, ok := prev.Codes[key]
-		if !ok || pc != c {
-			changed = append(changed, key)
 		}
 	}
 	return a, changed, affected, false
@@ -176,11 +175,6 @@ func Refresh(g *graph.Graph, prev *Assignment, added []*graph.Edge, opt Options)
 
 // fullRefresh is the fallback: a complete Encode, with every edge
 // reported as changed and a nil affected set.
-func fullRefresh(g *graph.Graph, prev *Assignment, opt Options) (*Assignment, []graph.EdgeKey, map[prog.FuncID]bool, bool) {
-	a := Encode(g, opt)
-	changed := make([]graph.EdgeKey, 0, len(a.Codes))
-	for key := range a.Codes {
-		changed = append(changed, key)
-	}
-	return a, changed, nil, true
+func fullRefresh(g *graph.Graph, opt Options) (*Assignment, []*graph.Edge, map[prog.FuncID]bool, bool) {
+	return Encode(g, opt), append([]*graph.Edge(nil), g.Edges...), nil, true
 }

@@ -1,6 +1,7 @@
 package blenc
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -29,24 +30,25 @@ func TestRefreshKeepsUnaffectedCodes(t *testing.T) {
 		t.Error("target of the added edge not in the affected set")
 	}
 	for _, s := range []string{"AB", "AC", "BD", "CD", "DE"} {
-		key := graph.EdgeKey{Site: fx.S(s), Target: fx.P.Site(fx.S(s)).Target}
-		if a.Codes[key] != prev.Codes[key] {
-			t.Errorf("unaffected edge %s changed: %v → %v", s, prev.Codes[key], a.Codes[key])
+		e := g2.Edge(fx.S(s), fx.P.Site(fx.S(s)).Target)
+		was, _ := prev.CodeOf(e)
+		if now, _ := a.CodeOf(e); now != was {
+			t.Errorf("unaffected edge %s changed: %v → %v", s, was, now)
 		}
 	}
 	c, ok := a.CodeOf(added)
 	if !ok || !c.Encoded {
 		t.Fatal("added edge not encoded")
 	}
-	if a.NumCC[fx.F("F")] != 2 {
-		t.Errorf("numCC(F) = %d, want 2", a.NumCC[fx.F("F")])
+	if got := a.NumCCOf(g2.Node(fx.F("F"))); got != 2 {
+		t.Errorf("numCC(F) = %d, want 2", got)
 	}
 	if len(changed) == 0 {
 		t.Error("no changed edges reported")
 	}
-	for _, key := range changed {
-		if key.Site != fx.S("DF") {
-			t.Errorf("unexpected changed edge %v", key)
+	for _, e := range changed {
+		if e.Site != fx.S("DF") {
+			t.Errorf("unexpected changed edge %v", e)
 		}
 	}
 	_ = g
@@ -77,11 +79,12 @@ func TestRefreshFallsBackOnNewCycle(t *testing.T) {
 	}
 }
 
-// TestRefreshMatchesDecodability: property — an assignment produced by
-// a chain of Refresh calls assigns valid, decodable prefix-sum codes:
-// for every node the encoded in-edge codes are exactly the prefix sums
-// of their callers' numCC in some order (the invariant the decoder
-// relies on), and numCC ≥ 1 everywhere.
+// TestRefreshInvariants: property — an assignment produced by a chain
+// of Refresh calls assigns valid, decodable prefix-sum codes: for every
+// node the encoded in-edge codes are exactly the prefix sums of their
+// callers' numCC in some order (the invariant the decoder relies on),
+// and numCC ≥ 1 everywhere. Every Refresh's change set is checked
+// against a brute-force diff as well (checkChangeSet).
 func TestRefreshInvariants(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := rand.New(rand.NewPCG(seed, 99))
@@ -124,25 +127,29 @@ func TestRefreshInvariants(t *testing.T) {
 				prev = Encode(g, Options{})
 				continue
 			}
-			a, _, _, _ := Refresh(g, prev, added, Options{})
+			a, changed, affected, full := Refresh(g, prev, added, Options{})
+			if msg := checkChangeSet(g, prev, a, changed, affected, full); msg != "" {
+				t.Logf("seed %d: %s", seed, msg)
+				return false
+			}
 			prev = a
 		}
 
 		// Invariants on the final assignment.
 		for _, n := range g.NodeSeq {
-			if prev.NumCC[n.Fn] == 0 {
+			if prev.NumCCOf(n) == 0 {
 				t.Logf("seed %d: numCC(%s) = 0", seed, n.Name())
 				return false
 			}
 			var cs []coded
 			for _, e := range n.In {
-				c, ok := prev.Codes[graph.EdgeKey{Site: e.Site, Target: e.Target}]
+				c, ok := prev.CodeOf(e)
 				if !ok {
 					t.Logf("seed %d: edge %v missing", seed, e)
 					return false
 				}
 				if c.Encoded {
-					cs = append(cs, coded{c.Value, prev.NumCC[e.Caller]})
+					cs = append(cs, coded{c.Value, prev.NumCCOf(g.Node(e.Caller))})
 				}
 			}
 			if len(cs) == 0 {
@@ -158,8 +165,8 @@ func TestRefreshInvariants(t *testing.T) {
 				}
 				acc += c.cc
 			}
-			if acc != prev.NumCC[n.Fn] {
-				t.Logf("seed %d: node %s covers %d of %d", seed, n.Name(), acc, prev.NumCC[n.Fn])
+			if acc != prev.NumCCOf(n) {
+				t.Logf("seed %d: node %s covers %d of %d", seed, n.Name(), acc, prev.NumCCOf(n))
 				return false
 			}
 		}
@@ -168,6 +175,47 @@ func TestRefreshInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// checkChangeSet verifies one Refresh's bookkeeping, which Refresh
+// collects while renumbering instead of diffing every code. changed must
+// equal, as a set and without repeats, the brute-force diff against
+// prev: the edges registered since prev plus every edge whose code
+// differs (every edge, after a full fallback). affected must hold the
+// target of every changed edge that is not a back edge: a back edge —
+// in these forward-only graphs, an edge out of a node the entry does not
+// reach yet — is never encoded, so it moves no code range of its target.
+func checkChangeSet(g *graph.Graph, prev, a *Assignment, changed []*graph.Edge, affected map[prog.FuncID]bool, full bool) string {
+	want := make(map[*graph.Edge]bool)
+	for _, e := range g.Edges {
+		was, old := prev.CodeOf(e)
+		now, ok := a.CodeOf(e)
+		if !ok {
+			return fmt.Sprintf("edge %v missing from the refreshed dictionary", e)
+		}
+		if full || !old || now != was {
+			want[e] = true
+		}
+	}
+	got := make(map[*graph.Edge]bool, len(changed))
+	for _, e := range changed {
+		if got[e] {
+			return fmt.Sprintf("edge %v reported changed twice", e)
+		}
+		got[e] = true
+		if !want[e] {
+			return fmt.Sprintf("edge %v reported changed but its code did not change", e)
+		}
+		if !full && !e.Back && !affected[e.Target] {
+			return fmt.Sprintf("changed edge %v: target not in the affected set", e)
+		}
+	}
+	for e := range want {
+		if !got[e] {
+			return fmt.Sprintf("edge %v changed but is missing from the change set", e)
+		}
+	}
+	return ""
 }
 
 func sortCoded(cs []coded) {

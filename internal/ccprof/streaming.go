@@ -39,8 +39,6 @@ type Streaming struct {
 	// mscratch is the merge-time materialization buffer, reused across
 	// nodes and merges.
 	mscratch core.Context
-
-	observed atomic.Int64
 }
 
 var _ core.ContextObserver = (*Streaming)(nil)
@@ -100,7 +98,6 @@ func (s *Streaming) ObserveContextNode(thread int, n *ccdag.Node) {
 	sh.mu.Lock()
 	sh.nodes[n]++
 	sh.mu.Unlock()
-	s.observed.Add(1)
 }
 
 // ObserveContext folds one decoded context straight into the merged
@@ -115,11 +112,7 @@ func (s *Streaming) ObserveContext(thread int, ctx core.Context) {
 	s.mu.Lock()
 	_ = s.merged.Add(ctx) // fails only on an empty context, returned above
 	s.mu.Unlock()
-	s.observed.Add(1)
 }
-
-// Observed returns how many contexts the profiler has consumed.
-func (s *Streaming) Observed() int64 { return s.observed.Load() }
 
 // mergeLocked drains every shard's accumulated counts into the merged
 // profile. Caller holds s.mu. With drop false, shard maps keep their

@@ -94,8 +94,8 @@ func TestStreamingMatchesOffline(t *testing.T) {
 	}
 	wg.Wait()
 
-	if s.Observed() != threads*perThread {
-		t.Fatalf("observed %d, want %d", s.Observed(), threads*perThread)
+	if got := s.Total(); got != threads*perThread {
+		t.Fatalf("total %d, want %d observations", got, threads*perThread)
 	}
 	sameProfile(t, s.Profile(), offline)
 	// A second snapshot (everything already merged) must be identical.
@@ -153,8 +153,8 @@ func TestStreamingNodeModeMatchesOffline(t *testing.T) {
 	}
 	wg.Wait()
 
-	if s.Observed() != threads*perThread {
-		t.Fatalf("observed %d, want %d", s.Observed(), threads*perThread)
+	if got := s.Total(); got != threads*perThread {
+		t.Fatalf("total %d, want %d observations", got, threads*perThread)
 	}
 	sameProfile(t, s.Profile(), offline)
 	sameProfile(t, s.Profile(), offline)
@@ -180,8 +180,8 @@ func TestStreamingNodeModeIgnoresInvalid(t *testing.T) {
 	s := NewStreaming(p)
 	s.ObserveContextNode(0, nil)
 	s.ObserveContextNode(-1, n)
-	if s.Observed() != 0 || s.Total() != 0 {
-		t.Fatalf("invalid observations counted: observed=%d total=%d", s.Observed(), s.Total())
+	if got := s.Total(); got != 0 {
+		t.Fatalf("invalid observations counted: total=%d", got)
 	}
 }
 
@@ -234,8 +234,8 @@ func TestStreamingIgnoresInvalid(t *testing.T) {
 	s := NewStreaming(p)
 	s.ObserveContext(0, nil)
 	s.ObserveContext(-1, ctxA)
-	if s.Observed() != 0 || s.Total() != 0 {
-		t.Fatalf("invalid observations counted: observed=%d total=%d", s.Observed(), s.Total())
+	if got := s.Total(); got != 0 {
+		t.Fatalf("invalid observations counted: total=%d", got)
 	}
 }
 
@@ -475,8 +475,8 @@ func TestStreamingFromLiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Observed() == 0 {
-		t.Fatal("streaming profiler observed nothing")
+	if got := s.Total(); got == 0 || got != int64(len(rs.Samples)) {
+		t.Fatalf("streaming profiler total %d, want one observation per sample (%d)", got, len(rs.Samples))
 	}
 	offline := New(w.P)
 	for _, smp := range rs.Samples {

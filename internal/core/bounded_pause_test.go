@@ -87,12 +87,14 @@ func TestDeltaIndexAndStubSetAgainstFullRebuild(t *testing.T) {
 		t.Fatalf("epoch %d after pass, want %d", next.epoch, prev.epoch+1)
 	}
 
-	// (a) The published delta-derived index equals a full rebuild.
+	// (a) The published delta-derived index equals a full rebuild, heat
+	// table included (a full pass gives the live index one over every
+	// registered edge).
 	full := newDecodeIndex(d.g, next.dicts[len(next.dicts)-1])
 	got := next.idx[len(next.idx)-1]
 	diffIndexes(t, next.epoch, got, full)
-	if len(got.edges) != len(full.edges) {
-		t.Errorf("delta index tracks %d edges, full rebuild %d", len(got.edges), len(full.edges))
+	if want := heatTable(d.g.Edges); !reflect.DeepEqual(got.edges, want) {
+		t.Errorf("delta index tracks %d heat-table edges, full rebuild %d", len(got.edges), len(want))
 	}
 
 	// (b) Every edge whose action changed sits at a dirty site.

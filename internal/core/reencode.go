@@ -131,7 +131,7 @@ type passPlan struct {
 	// fallback, so changed/affected bound the delta rebuilds below.
 	// Otherwise every site is rebuilt and every thread translated.
 	incremental bool
-	changed     []graph.EdgeKey
+	changed     []*graph.Edge
 	affected    map[prog.FuncID]bool
 	// dirtyEdges is changed ∪ compressAdds: the edges whose actionFor
 	// result can differ from the previous epoch. dirtySites are their
@@ -192,6 +192,7 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 			plan.asn, plan.changed, plan.affected)
 	} else {
 		plan.idx = newDecodeIndex(d.g, plan.asn)
+		plan.idx.edges = heatTable(d.g.Edges)
 		plan.indexEntries = plan.asn.EncodedEdges
 	}
 	plan.indexNanos = time.Since(t1).Nanoseconds()
@@ -217,8 +218,8 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 
 	if plan.incremental {
 		plan.dirtyEdges = make(map[graph.EdgeKey]bool, len(plan.changed)+len(plan.compressAdds))
-		for _, k := range plan.changed {
-			plan.dirtyEdges[k] = true
+		for _, e := range plan.changed {
+			plan.dirtyEdges[edgeKeyOf(e)] = true
 		}
 		for _, k := range plan.compressAdds {
 			plan.dirtyEdges[k] = true
@@ -272,9 +273,9 @@ func (d *DACCE) extendPlanLocked(plan *passPlan, trig trigSnap) *passPlan {
 	for fn := range affected {
 		plan.affected[fn] = true
 	}
-	for _, k := range changed {
-		plan.dirtyEdges[k] = true
-		plan.dirtySites[k.Site] = true
+	for _, e := range changed {
+		plan.dirtyEdges[edgeKeyOf(e)] = true
+		plan.dirtySites[e.Site] = true
 	}
 	return plan
 }

@@ -68,12 +68,14 @@ func (s *encSnap) withTailLocked(fn prog.FuncID) *encSnap {
 
 // decodeIndex is the per-epoch decode structure: for every function,
 // the encoded in-edges of the epoch with their code ranges (Algorithm 1
-// lines 26–33), plus an edge lookup table for crediting
-// sample-estimated frequencies. It is built once per epoch — by the
-// pass that opens the epoch, or from a snapshot by Restore and
-// NewDecoder — and immutable afterwards, so the decoder and the
-// sampling controller can walk it lock-free while the live graph keeps
-// growing on other threads.
+// lines 26–33), plus, in the live encoder only, an edge lookup table
+// for crediting sample-estimated frequencies. It is built once per
+// epoch — by the pass that opens the epoch, or from a snapshot by
+// Restore and NewDecoder — and immutable afterwards, so the decoder and
+// the sampling controller can walk it lock-free while the live graph
+// keeps growing on other threads. Building it reads the epoch's dense
+// dictionary directly: the encoded edges are the Encoded entries of
+// asn.Codes, in Edge.Seq order.
 //
 // An epoch's encoded edge set is frozen by construction: edges
 // discovered after the pass are unencoded (they live on the ccStack and
@@ -84,10 +86,13 @@ type decodeIndex struct {
 	// Node.In insertion order, each carrying the caller's numCC for the
 	// range check.
 	in map[prog.FuncID][]inEdge
-	// edges maps every edge that existed when the index was built to
-	// its graph edge, whose Freq field is updated atomically by the
-	// sampling controller. Edges discovered later are absent; they are
-	// counted directly by their unencoded stubs, so no credit is lost.
+	// edges is the heat table: it maps every edge that existed when the
+	// index was built to its graph edge, whose Freq field is updated
+	// atomically by the sampling controller. Only the live encoder's
+	// OnSample reads it, so only the live encoder fills it (heatTable);
+	// standalone decoders (NewDecoder) leave it nil. Edges discovered
+	// later are absent; they are counted directly by their unencoded
+	// stubs, so no credit is lost.
 	edges map[graph.EdgeKey]*graph.Edge
 }
 
@@ -99,34 +104,39 @@ type inEdge struct {
 	ncc    uint64
 }
 
+// newInEdge is e's decode-index entry under asn.
+func newInEdge(g *graph.Graph, asn *blenc.Assignment, e *graph.Edge, code uint64) inEdge {
+	return inEdge{site: e.Site, caller: e.Caller, code: code, ncc: asn.NumCCOf(g.Node(e.Caller))}
+}
+
 // newDecodeIndex builds the immutable decode index for one epoch's
-// assignment. The caller keeps g from being mutated meanwhile: it holds
-// d.mu, or owns g outright (restored and offline decoders).
+// assignment, without a heat table. The caller keeps g from being
+// mutated meanwhile: it holds d.mu, or owns g outright (restored and
+// offline decoders). g holds every edge asn codes (it may hold more).
 func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment) *decodeIndex {
-	ix := &decodeIndex{
-		in:    make(map[prog.FuncID][]inEdge),
-		edges: make(map[graph.EdgeKey]*graph.Edge, len(g.Edges)),
-	}
-	for _, e := range g.Edges {
-		key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-		ix.edges[key] = e
-		code, ok := asn.Codes[key]
-		if !ok || !code.Encoded {
+	ix := &decodeIndex{in: make(map[prog.FuncID][]inEdge)}
+	for seq, code := range asn.Codes {
+		if !code.Encoded {
 			continue
 		}
-		ix.in[e.Target] = append(ix.in[e.Target], inEdge{
-			site:   e.Site,
-			caller: e.Caller,
-			code:   code.Value,
-			ncc:    asn.NumCC[e.Caller],
-		})
+		e := g.Edges[seq]
+		ix.in[e.Target] = append(ix.in[e.Target], newInEdge(g, asn, e, code.Value))
 	}
 	return ix
 }
 
+// heatTable builds the live encoder's sample-credit table over edges.
+func heatTable(edges []*graph.Edge) map[graph.EdgeKey]*graph.Edge {
+	t := make(map[graph.EdgeKey]*graph.Edge, len(edges))
+	for _, e := range edges {
+		t[edgeKeyOf(e)] = e
+	}
+	return t
+}
+
 // newDecodeIndexes builds one decode index per epoch dictionary. The
 // final graph is a superset of every epoch's edge set; edges discovered
-// after an epoch's pass have no code in its dictionary and are skipped,
+// after an epoch's pass lie past the end of its Codes and are skipped,
 // so each index matches the one the live pass built.
 func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex {
 	idx := make([]*decodeIndex, 0, len(dicts))
@@ -152,13 +162,13 @@ func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex 
 //
 // Returns the new index and how many in-edge entries were (re)built,
 // for per-phase cost attribution.
-func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, changed []graph.EdgeKey, affected map[prog.FuncID]bool) (*decodeIndex, int) {
+func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, changed []*graph.Edge, affected map[prog.FuncID]bool) (*decodeIndex, int) {
 	dirty := make(map[prog.FuncID]bool, len(affected)+len(changed))
 	for fn := range affected {
 		dirty[fn] = true
 	}
-	for _, k := range changed {
-		dirty[k.Target] = true
+	for _, e := range changed {
+		dirty[e.Target] = true
 	}
 
 	ix := &decodeIndex{
@@ -168,11 +178,9 @@ func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, 
 	for k, e := range prev.edges {
 		ix.edges[k] = e
 	}
-	for _, k := range changed {
-		if _, ok := ix.edges[k]; !ok {
-			if e := g.Edge(k.Site, k.Target); e != nil {
-				ix.edges[k] = e
-			}
+	for _, e := range changed {
+		if k := edgeKeyOf(e); ix.edges[k] == nil {
+			ix.edges[k] = e
 		}
 	}
 	for fn, list := range prev.in {
@@ -191,17 +199,11 @@ func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, 
 		// newDecodeIndex would produce entry for entry.
 		var list []inEdge
 		for _, e := range n.In {
-			key := graph.EdgeKey{Site: e.Site, Target: e.Target}
-			code, ok := asn.Codes[key]
+			code, ok := asn.CodeOf(e)
 			if !ok || !code.Encoded {
 				continue
 			}
-			list = append(list, inEdge{
-				site:   e.Site,
-				caller: e.Caller,
-				code:   code.Value,
-				ncc:    asn.NumCC[e.Caller],
-			})
+			list = append(list, newInEdge(g, asn, e, code.Value))
 			rebuilt++
 		}
 		if len(list) > 0 {

@@ -92,9 +92,10 @@ type StateEpoch struct {
 	// NumCC maps functions to their calling-context counts, sorted by
 	// function id.
 	NumCC []StateNumCC
-	// Codes maps edges (by index into EncoderState.Edges) to their code
-	// at this epoch, sorted by edge index. Edges absent from the list
-	// did not exist when the epoch's pass ran.
+	// Codes lists the code of every edge that existed when the epoch's
+	// pass ran. The graph is append-only, so those are a prefix of
+	// EncoderState.Edges: Codes[i] is edge i's code, for i below
+	// len(Codes), and Validate rejects any other layout.
 	Codes []StateCode
 }
 
@@ -145,9 +146,7 @@ func (d *DACCE) ExportState() *EncoderState {
 	for _, n := range d.g.NodeSeq {
 		st.Nodes = append(st.Nodes, n.Fn)
 	}
-	edgeIdx := make(map[graph.EdgeKey]int, len(d.g.Edges))
-	for i, e := range d.g.Edges {
-		edgeIdx[edgeKeyOf(e)] = i
+	for _, e := range d.g.Edges {
 		// Freq is bumped atomically on the lock-free encoded path, so a
 		// mid-run export must read it the same way.
 		st.Edges = append(st.Edges, StateEdge{Site: e.Site, Target: e.Target, Freq: atomic.LoadInt64(&e.Freq)})
@@ -173,29 +172,27 @@ func (d *DACCE) ExportState() *EncoderState {
 			Excluded:          asn.Excluded,
 			EncodedEdges:      asn.EncodedEdges,
 		}
-		for fn, n := range asn.NumCC {
-			ep.NumCC = append(ep.NumCC, StateNumCC{Fn: fn, NumCC: n})
+		for seq, n := range asn.NumCC {
+			if n != 0 { // 0: the node did not exist at this epoch
+				ep.NumCC = append(ep.NumCC, StateNumCC{Fn: d.g.NodeSeq[seq].Fn, NumCC: n})
+			}
 		}
 		sort.Slice(ep.NumCC, func(i, j int) bool { return ep.NumCC[i].Fn < ep.NumCC[j].Fn })
-		for key, code := range asn.Codes {
-			idx, ok := edgeIdx[key]
-			if !ok {
-				// Cannot happen on an append-only graph; skip rather than
-				// persist a dangling reference.
-				continue
-			}
+		for seq, code := range asn.Codes {
 			ep.Codes = append(ep.Codes, StateCode{
-				Edge: idx, Encoded: code.Encoded, Value: code.Value, Back: code.Back,
+				Edge: seq, Encoded: code.Encoded, Value: code.Value, Back: code.Back,
 			})
 		}
-		sort.Slice(ep.Codes, func(i, j int) bool { return ep.Codes[i].Edge < ep.Codes[j].Edge })
 		st.Epochs = append(st.Epochs, ep)
 	}
 	return st
 }
 
 // Validate checks the state's internal consistency: every id in range,
-// the epoch chain well-formed. Deserialized snapshots go through this
+// the epoch chain well-formed, and every epoch's codes a prefix of the
+// edge list in order (the dense dictionaries read Codes[i] as edge i's
+// code, so a gap or a reordering would put codes on the wrong edges and
+// decode to a wrong context). Deserialized snapshots go through this
 // before any decode structure is built, so corrupt input yields errors,
 // never panics.
 func (st *EncoderState) Validate() error {
@@ -260,9 +257,12 @@ func (st *EncoderState) Validate() error {
 				return err
 			}
 		}
-		for _, c := range ep.Codes {
-			if c.Edge < 0 || c.Edge >= len(st.Edges) {
-				return fmt.Errorf("core: state epoch %d code references edge %d of %d", ei, c.Edge, len(st.Edges))
+		if len(ep.Codes) > len(st.Edges) {
+			return fmt.Errorf("core: state epoch %d has %d codes for %d edges", ei, len(ep.Codes), len(st.Edges))
+		}
+		for i, c := range ep.Codes {
+			if c.Edge != i {
+				return fmt.Errorf("core: state epoch %d code %d references edge %d, want edge %d (codes must list edges 0..k-1 in order)", ei, i, c.Edge, i)
 			}
 		}
 	}
@@ -298,8 +298,18 @@ func (st *EncoderState) matches(p *prog.Program) error {
 	return nil
 }
 
-// assignments converts the per-epoch dictionaries back to blenc form.
-func (st *EncoderState) assignments() []*blenc.Assignment {
+// assignments converts the per-epoch dictionaries back to blenc form,
+// dense against g, the graph rebuildGraph made from the same state.
+func (st *EncoderState) assignments(g *graph.Graph) []*blenc.Assignment {
+	// State edge i is graph edge i, unless an earlier duplicate of its
+	// (site, target) registered the edge first; a duplicate's code then
+	// overwrites the first one's, as the last write to a keyed table
+	// would. Validate guarantees each epoch's codes are the state edges
+	// 0..k-1, whose graph edges are in turn a prefix of g.Edges.
+	seqs := make([]int, len(st.Edges))
+	for i, se := range st.Edges {
+		seqs[i] = g.Edge(se.Site, se.Target).Seq()
+	}
 	dicts := make([]*blenc.Assignment, 0, len(st.Epochs))
 	for _, ep := range st.Epochs {
 		asn := &blenc.Assignment{
@@ -308,16 +318,31 @@ func (st *EncoderState) assignments() []*blenc.Assignment {
 			UnrestrictedMaxID: ep.UnrestrictedMaxID,
 			Excluded:          ep.Excluded,
 			EncodedEdges:      ep.EncodedEdges,
-			NumCC:             make(map[prog.FuncID]uint64, len(ep.NumCC)),
-			Codes:             make(map[graph.EdgeKey]blenc.Code, len(ep.Codes)),
 		}
+		// NumCC is keyed by the rebuilt graph's node order, which puts
+		// the roots first, so an epoch's nodes need not be a prefix of
+		// it: nodes the epoch lacks stay 0. Entries for functions that
+		// are not graph nodes are dropped; numCC is only ever read for
+		// an edge's caller, which always is one.
+		ncc := 0
 		for _, nc := range ep.NumCC {
-			asn.NumCC[nc.Fn] = nc.NumCC
+			if n := g.Node(nc.Fn); n != nil && n.Seq >= ncc {
+				ncc = n.Seq + 1
+			}
 		}
-		for _, c := range ep.Codes {
-			e := st.Edges[c.Edge]
-			asn.Codes[graph.EdgeKey{Site: e.Site, Target: e.Target}] = blenc.Code{
-				Encoded: c.Encoded, Value: c.Value, Back: c.Back,
+		asn.NumCC = make([]uint64, ncc)
+		for _, nc := range ep.NumCC {
+			if n := g.Node(nc.Fn); n != nil {
+				asn.NumCC[n.Seq] = nc.NumCC
+			}
+		}
+		asn.Codes = make([]blenc.Code, 0, len(ep.Codes))
+		for i, c := range ep.Codes {
+			code := blenc.Code{Encoded: c.Encoded, Value: c.Value, Back: c.Back}
+			if seq := seqs[i]; seq < len(asn.Codes) {
+				asn.Codes[seq] = code
+			} else {
+				asn.Codes = append(asn.Codes, code)
 			}
 		}
 		dicts = append(dicts, asn)
@@ -370,8 +395,14 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 	}
 	d := New(p, opt)
 	g := st.rebuildGraph(p)
-	dicts := st.assignments()
+	dicts := st.assignments(g)
 	idx := newDecodeIndexes(g, dicts)
+	// The restored graph holds every exported edge, and so does each
+	// epoch's heat table; the tables are immutable, so one serves all.
+	heat := heatTable(g.Edges)
+	for _, ix := range idx {
+		ix.edges = heat
+	}
 	tail := make(map[prog.FuncID]bool, len(st.Tail))
 	for _, fn := range st.Tail {
 		tail[fn] = true
@@ -411,7 +442,8 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 // program (names, site callers and kinds) and one immutable decode
 // index per epoch, built from the rebuilt call graph. The decoder
 // shares nothing with the process that exported the state and is safe
-// for concurrent use — the decode-as-a-service path of cmd/dacced.
+// for concurrent use — the decode-as-a-service path of cmd/dacced. It
+// carries no heat table: nothing credits edge frequencies in it.
 func (st *EncoderState) NewDecoder() (*Decoder, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -423,7 +455,8 @@ func (st *EncoderState) NewDecoder() (*Decoder, error) {
 	for i, s := range st.Sites {
 		p.Sites = append(p.Sites, &prog.Site{ID: prog.SiteID(i), Caller: s.Caller, Kind: prog.Kind(s.Kind)})
 	}
-	return NewDecoder(p, st.rebuildGraph(p), st.assignments()), nil
+	g := st.rebuildGraph(p)
+	return NewDecoder(p, g, st.assignments(g)), nil
 }
 
 // NumEdgesAtEpoch returns how many edges existed when the given epoch's

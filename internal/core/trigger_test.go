@@ -107,7 +107,12 @@ func TestEachTriggerNamesItsPass(t *testing.T) {
 			}
 			asn := d.Dict(d.Epoch())
 			for _, k := range late {
-				if c, ok := asn.Codes[k]; !ok || !c.Encoded {
+				e := d.Graph().Edge(k.Site, k.Target)
+				if e == nil {
+					t.Errorf("late hot edge %+v never discovered", k)
+					continue
+				}
+				if c, ok := asn.CodeOf(e); !ok || !c.Encoded {
 					t.Errorf("late hot edge %+v not encoded by epoch %d", k, d.Epoch())
 				}
 			}

@@ -8,10 +8,17 @@ import (
 	"dacce/internal/workload"
 )
 
-// WriteReport runs the full evaluation and writes EXPERIMENTS.md:
-// paper-versus-measured for Table 1 and Figures 8–10, with the headline
+// LastGeneratedHeading heads the last section WriteReport writes.
+const LastGeneratedHeading = "## Figure 10 — cumulative stack-depth distributions"
+
+// WriteReport runs the full evaluation and writes the generated part of
+// EXPERIMENTS.md to w: paper-versus-measured for Table 1 and Figures 8–10, with the headline
 // checks computed from the data. progress receives per-benchmark status
 // lines.
+//
+// The report ends with the section headed LastGeneratedHeading; a report
+// file continues with hand-written sections, which cmd/daccebench's
+// report command carries over when it regenerates the file.
 func WriteReport(w io.Writer, cfg RunConfig, progress io.Writer) error {
 	cfg.fill()
 	rows, err := Table1(workload.Profiles(), cfg, progress)
@@ -31,9 +38,12 @@ cost model. What must match is the *shape*: who wins, by roughly what
 factor, and where the qualitative crossovers fall. Divergences and
 their causes are listed per experiment.
 
-Regenerate everything with:
+Regenerate this header and the Table 1 and Figure 8–10 sections with:
 
     go run ./cmd/daccebench report -calls %d
+
+The command rewrites only those; the sections after Figure 10 are
+written by hand and kept byte for byte.
 
 `, cfg.Calls)
 
@@ -197,7 +207,7 @@ and visible in some seeds as a non-monotone maxID step.
 }
 
 func writeFig10Section(w io.Writer, cfg RunConfig, rows []*BenchResult) error {
-	fmt.Fprintf(w, `## Figure 10 — cumulative stack-depth distributions
+	fmt.Fprintf(w, LastGeneratedHeading+`
 
 The paper plots, for x264 / 445.gobmk / 459.GemsFDTD / 483.xalancbmk,
 the CDF of the call-stack depth and of the ccStack depth at sampled

@@ -6,10 +6,12 @@
 // a topological order of the remaining acyclic graph.
 //
 // The graph is deliberately append-only: nodes and edges are never
-// removed, so *Edge and *Node pointers remain valid across re-encodings
-// and can key the per-epoch decode dictionaries (paper Fig. 6). All
-// iteration orders are insertion orders, which makes every analysis —
-// and therefore every encoding — deterministic.
+// removed, so *Edge and *Node pointers remain valid across re-encodings,
+// and an edge's registration sequence number (Edge.Seq) indexes the
+// per-epoch decode dictionaries (paper Fig. 6): the edges that existed
+// when a pass ran are exactly the first len(codes) edges. All iteration
+// orders are insertion orders, which makes every analysis — and
+// therefore every encoding — deterministic.
 //
 // Synchronization is split in two. Edge existence — the (site, target)
 // maps consulted and grown by the runtime handler on every trap — is
@@ -26,6 +28,7 @@ package graph
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dacce/internal/prog"
 )
@@ -45,7 +48,10 @@ func (n *Node) Name() string { return n.name }
 // Edge is a call edge. The pair (Site, Target) is unique: a direct site
 // has one edge, an indirect site one edge per distinct run-time target.
 type Edge struct {
-	Seq    int // insertion sequence number, also index into Graph.Edges
+	// seq is the registration sequence number (see Seq). Atomic because
+	// DACCE's trap path looks an edge's code up by it without the
+	// registry lock, while RegisterEdges assigns it under that lock.
+	seq    atomic.Int32
 	Site   prog.SiteID
 	Caller prog.FuncID
 	Target prog.FuncID
@@ -64,6 +70,12 @@ type Edge struct {
 	// classification; back edges are never encoded (paper §3.3).
 	Back bool
 }
+
+// Seq returns the edge's registration sequence number — its index into
+// Graph.Edges and into every dense per-epoch table keyed by edge — or
+// -1 while the edge is discovered but not yet registered. Safe to call
+// concurrently with RegisterEdges.
+func (e *Edge) Seq() int { return int(e.seq.Load()) }
 
 func (e *Edge) String() string {
 	return fmt.Sprintf("edge{site=%d %d->%d %s}", e.Site, e.Caller, e.Target, e.Kind)
@@ -97,8 +109,10 @@ type Graph struct {
 	rootSet map[prog.FuncID]bool
 	NodeSeq []*Node // nodes in insertion order
 	Edges   []*Edge // registered edges in registration order
-	nodes   map[prog.FuncID]*Node
-	shards  [shardCount]shard
+	// nodes is indexed by FuncID. AddNode grows it only as far as the
+	// largest function added, so New allocates no per-function table.
+	nodes  []*Node
+	shards [shardCount]shard
 }
 
 // New returns a graph over the program containing only the entry node,
@@ -108,7 +122,6 @@ func New(p *prog.Program) *Graph {
 		p:       p,
 		Entry:   p.Entry,
 		rootSet: make(map[prog.FuncID]bool),
-		nodes:   make(map[prog.FuncID]*Node),
 	}
 	for i := range g.shards {
 		g.shards[i].edges = make(map[EdgeKey]*Edge)
@@ -149,14 +162,22 @@ func (g *Graph) NumNodes() int { return len(g.NodeSeq) }
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
 // Node returns the node for fn, or nil if fn has not been added.
-func (g *Graph) Node(fn prog.FuncID) *Node { return g.nodes[fn] }
+func (g *Graph) Node(fn prog.FuncID) *Node {
+	if uint(fn) < uint(len(g.nodes)) {
+		return g.nodes[fn]
+	}
+	return nil
+}
 
 // AddNode ensures fn is present and returns its node.
 func (g *Graph) AddNode(fn prog.FuncID) *Node {
-	if n, ok := g.nodes[fn]; ok {
+	if n := g.Node(fn); n != nil {
 		return n
 	}
 	n := &Node{Fn: fn, Seq: len(g.NodeSeq), name: g.p.Funcs[fn].Name}
+	if int(fn) >= len(g.nodes) {
+		g.nodes = append(g.nodes, make([]*Node, int(fn)+1-len(g.nodes))...)
+	}
 	g.nodes[fn] = n
 	g.NodeSeq = append(g.NodeSeq, n)
 	return n
@@ -201,12 +222,12 @@ func (g *Graph) DiscoverEdge(site prog.SiteID, target prog.FuncID) (*Edge, bool)
 	}
 	s := g.p.Site(site)
 	e := &Edge{
-		Seq:    -1,
 		Site:   site,
 		Caller: s.Caller,
 		Target: target,
 		Kind:   s.Kind,
 	}
+	e.seq.Store(-1)
 	sh.edges[key] = e
 	sh.bySite[site] = append(sh.bySite[site], e)
 	sh.mu.Unlock()
@@ -221,12 +242,12 @@ func (g *Graph) DiscoverEdge(site prog.SiteID, target prog.FuncID) (*Edge, bool)
 // are skipped, so replaying a batch is harmless.
 func (g *Graph) RegisterEdges(batch []*Edge) {
 	for _, e := range batch {
-		if e.Seq >= 0 {
+		if e.Seq() >= 0 {
 			continue
 		}
 		caller := g.AddNode(e.Caller)
 		tnode := g.AddNode(e.Target)
-		e.Seq = len(g.Edges)
+		e.seq.Store(int32(len(g.Edges)))
 		g.Edges = append(g.Edges, e)
 		caller.Out = append(caller.Out, e)
 		tnode.In = append(tnode.In, e)
@@ -273,33 +294,35 @@ func (g *Graph) ClassifyBackEdges() {
 	for _, e := range g.Edges {
 		e.Back = false
 	}
-	color := make(map[prog.FuncID]uint8, len(g.NodeSeq))
+	color := make([]uint8, len(g.NodeSeq)) // by Node.Seq
 
 	type frame struct {
 		n    *Node
 		next int
 	}
+	var stack []frame
 	for _, root := range g.roots {
-		rn := g.nodes[root]
-		if rn == nil || color[root] != white {
+		rn := g.Node(root)
+		if rn == nil || color[rn.Seq] != white {
 			continue
 		}
-		stack := []frame{{n: rn}}
-		color[root] = gray
+		stack = append(stack[:0], frame{n: rn})
+		color[rn.Seq] = gray
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			if f.next < len(f.n.Out) {
 				e := f.n.Out[f.next]
 				f.next++
-				switch color[e.Target] {
+				tn := g.nodes[e.Target]
+				switch color[tn.Seq] {
 				case white:
-					color[e.Target] = gray
-					stack = append(stack, frame{n: g.nodes[e.Target]})
+					color[tn.Seq] = gray
+					stack = append(stack, frame{n: tn})
 				case gray:
 					e.Back = true
 				}
 			} else {
-				color[f.n.Fn] = black
+				color[f.n.Seq] = black
 				stack = stack[:len(stack)-1]
 			}
 		}
@@ -307,7 +330,7 @@ func (g *Graph) ClassifyBackEdges() {
 	// Unreachable nodes: mark their outgoing edges as back so they stay
 	// out of the encoding.
 	for _, n := range g.NodeSeq {
-		if color[n.Fn] != black {
+		if color[n.Seq] != black {
 			for _, e := range n.Out {
 				e.Back = true
 			}
@@ -320,35 +343,30 @@ func (g *Graph) ClassifyBackEdges() {
 // on the current graph. Nodes unreachable from the entry are appended at
 // the end (they have no encoded in-edges and act as isolated roots).
 func (g *Graph) TopoOrder() []*Node {
-	indeg := make(map[prog.FuncID]int, len(g.NodeSeq))
-	for _, n := range g.NodeSeq {
-		indeg[n.Fn] = 0
-	}
+	indeg := make([]int32, len(g.NodeSeq)) // by Node.Seq
 	for _, e := range g.Edges {
 		if !e.Back {
-			indeg[e.Target]++
+			indeg[g.nodes[e.Target].Seq]++
 		}
 	}
-	order := make([]*Node, 0, len(g.NodeSeq))
 	// Deterministic Kahn: seed with zero-indegree nodes in insertion
-	// order; the queue preserves discovery order.
-	queue := make([]*Node, 0, 8)
+	// order; order doubles as the FIFO queue, which preserves discovery
+	// order.
+	order := make([]*Node, 0, len(g.NodeSeq))
 	for _, n := range g.NodeSeq {
-		if indeg[n.Fn] == 0 {
-			queue = append(queue, n)
+		if indeg[n.Seq] == 0 {
+			order = append(order, n)
 		}
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, e := range n.Out {
+	for head := 0; head < len(order); head++ {
+		for _, e := range order[head].Out {
 			if e.Back {
 				continue
 			}
-			indeg[e.Target]--
-			if indeg[e.Target] == 0 {
-				queue = append(queue, g.nodes[e.Target])
+			tn := g.nodes[e.Target]
+			indeg[tn.Seq]--
+			if indeg[tn.Seq] == 0 {
+				order = append(order, tn)
 			}
 		}
 	}
@@ -366,7 +384,7 @@ func (g *Graph) Reachable() map[prog.FuncID]bool {
 	seen := make(map[prog.FuncID]bool, len(g.NodeSeq))
 	var stack []*Node
 	for _, root := range g.roots {
-		if n := g.nodes[root]; n != nil && !seen[root] {
+		if n := g.Node(root); n != nil && !seen[root] {
 			seen[root] = true
 			stack = append(stack, n)
 		}

@@ -49,8 +49,8 @@ func TestStaticGraphIncludesFalsePositives(t *testing.T) {
 	}
 	// numCC(I) counts contexts through both the declared indirect edge
 	// and E→I; a dynamic encoder that never sees C→I would need less.
-	if s.asn.NumCC[fx.F("I")] < 2 {
-		t.Errorf("numCC(I) = %d, want ≥ 2 with the false-positive edge", s.asn.NumCC[fx.F("I")])
+	if got := s.asn.NumCCOf(s.g.Node(fx.F("I"))); got < 2 {
+		t.Errorf("numCC(I) = %d, want ≥ 2 with the false-positive edge", got)
 	}
 }
 

@@ -47,7 +47,8 @@ func (g *gen) str() string {
 }
 
 // stateFromBytes builds an arbitrary but structurally valid encoder
-// state from fuzz input: all ids in range, epoch chain well formed.
+// state from fuzz input: all ids in range, epoch chain well formed,
+// every epoch's codes a prefix of the edge list.
 // Everything else — names, frequencies, dictionary contents, set
 // membership and ordering — is fuzzer-controlled.
 func stateFromBytes(data []byte) *core.EncoderState {
@@ -110,9 +111,10 @@ func stateFromBytes(data []byte) *core.EncoderState {
 			})
 		}
 		if len(st.Edges) > 0 {
+			// An epoch codes a prefix of the edge list, in order.
 			for j, n := 0, g.n(len(st.Edges)+1); j < n; j++ {
 				ep.Codes = append(ep.Codes, core.StateCode{
-					Edge:    g.n(len(st.Edges)),
+					Edge:    j,
 					Encoded: g.byte()&1 == 1,
 					Value:   g.u64(),
 					Back:    g.byte()&1 == 1,
@@ -160,7 +162,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // FuzzSnapshotLoad throws arbitrary bytes — including truncated and
 // bit-flipped valid snapshots — at Unmarshal: it must either return an
 // error or a state that survives a clean round trip. It must never
-// panic and never accept structurally invalid state.
+// panic and never accept structurally invalid state. The committed
+// corpus (testdata/fuzz/FuzzSnapshotLoad) adds gapped-epoch, an intact
+// snapshot whose epoch codes skip an edge (TestGappedEpochSeed).
 func FuzzSnapshotLoad(f *testing.F) {
 	// Seed with a valid snapshot and targeted corruptions of it, so the
 	// fuzzer starts at the format boundary instead of random noise.

@@ -63,12 +63,17 @@ func Marshal(st *core.EncoderState) ([]byte, error) {
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("persist: refusing to marshal invalid state: %w", err)
 	}
+	return encode(st), nil
+}
+
+// encode writes st's snapshot — header, payload and CRC — without
+// validating it.
+func encode(st *core.EncoderState) []byte {
 	b := make([]byte, 0, 1024)
 	b = append(b, Magic...)
 	b = binary.LittleEndian.AppendUint32(b, Version)
 	b = marshalPayload(b, st)
-	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
-	return b, nil
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // Unmarshal parses a binary snapshot, verifying magic, version, CRC and

@@ -3,12 +3,15 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dacce/internal/core"
 	"dacce/internal/machine"
+	"dacce/internal/prog"
 	"dacce/internal/workload"
 )
 
@@ -360,5 +363,59 @@ func TestRestoreRejectsForeignProgram(t *testing.T) {
 	}
 	if _, err := core.Restore(w.P, core.Options{}, st); err == nil {
 		t.Fatal("Restore accepted a snapshot from a different program")
+	}
+}
+
+// gappedSeed is FuzzSnapshotLoad's committed seed for the dense
+// dictionary import: a snapshot intact in magic, version and CRC whose
+// epoch 1 codes skip edge 0. The importer reads an epoch's codes as
+// edges 0..k-1, so accepting it would put edge 1's code on edge 0.
+const gappedSeed = "testdata/fuzz/FuzzSnapshotLoad/gapped-epoch"
+
+// gappedState is the state gappedSeed encodes: main calls f through s0
+// and g through s1, and epoch 1 lists a code for edge 1 only.
+func gappedState() *core.EncoderState {
+	return &core.EncoderState{
+		Funcs: []string{"main", "f", "g"},
+		Sites: []core.StateSite{{Caller: 0}, {Caller: 0}},
+		Roots: []prog.FuncID{0},
+		Nodes: []prog.FuncID{0, 1, 2},
+		Edges: []core.StateEdge{{Site: 0, Target: 1, Freq: 1}, {Site: 1, Target: 2, Freq: 1}},
+		Epoch: 1,
+		Epochs: []core.StateEpoch{
+			{NumCC: []core.StateNumCC{{Fn: 0, NumCC: 1}}},
+			{
+				NumCC:        []core.StateNumCC{{Fn: 0, NumCC: 1}, {Fn: 1, NumCC: 1}, {Fn: 2, NumCC: 1}},
+				Codes:        []core.StateCode{{Edge: 1, Encoded: true}},
+				EncodedEdges: 1,
+			},
+		},
+	}
+}
+
+// TestGappedEpochSeed pins the committed seed to gappedState and checks
+// that Unmarshal rejects it for the gap, not for damage: the same
+// snapshot with the gap closed loads.
+func TestGappedEpochSeed(t *testing.T) {
+	blob := encode(gappedState())
+	raw, err := os.ReadFile(gappedSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", blob); string(raw) != want {
+		t.Fatalf("%s does not hold gappedState's snapshot; rewrite it as:\n%s", gappedSeed, want)
+	}
+	if _, err := Unmarshal(blob); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "codes must list edges") {
+		t.Fatalf("Unmarshal(gapped) = %v, want ErrCorrupt for the gap", err)
+	}
+
+	closed := gappedState()
+	closed.Epochs[1].Codes = []core.StateCode{{Edge: 0}, {Edge: 1, Encoded: true}}
+	st, err := Unmarshal(encode(closed))
+	if err != nil {
+		t.Fatalf("the seed with its gap closed does not load: %v", err)
+	}
+	if _, err := st.NewDecoder(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -455,5 +457,45 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("mixed batch failed outright")
 	} else if dr.Results[0].Error == "" || dr.Results[1].Error != "" {
 		t.Fatalf("mixed batch results: %+v", dr.Results)
+	}
+}
+
+// TestSnapshotUploadRejectsGappedEpoch posts FuzzSnapshotLoad's
+// gapped-epoch seed: a snapshot intact in framing and CRC whose epoch
+// codes skip an edge. Loading it would decode captures against codes
+// sitting on the wrong edges, so the upload must fail with 400 and
+// register nothing.
+func TestSnapshotUploadRejectsGappedEpoch(t *testing.T) {
+	raw, err := os.ReadFile("../persist/testdata/fuzz/FuzzSnapshotLoad/gapped-epoch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, lit, _ := strings.Cut(string(raw), "\n")
+	lit = strings.TrimSpace(lit)
+	if header != "go test fuzz v1" || !strings.HasPrefix(lit, "[]byte(") || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("unexpected corpus file layout:\n%s", raw)
+	}
+	blob, err := strconv.Unquote(lit[len("[]byte(") : len(lit)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/snapshot?tenant=gapped", "application/octet-stream", strings.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "codes must list edges") {
+		t.Fatalf("gapped snapshot upload: HTTP %d %s, want 400 naming the gap", resp.StatusCode, msg)
+	}
+	resp, err = http.Get(ts.URL + "/v1/snapshot?tenant=gapped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("rejected tenant is downloadable: HTTP %d", resp.StatusCode)
 	}
 }

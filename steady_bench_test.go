@@ -198,17 +198,21 @@ func TestEncodedFastPathNoAllocsProfiled(t *testing.T) {
 func TestOnSampleNoAllocsProfiled(t *testing.T) {
 	f, s := newProfiledFixture(t)
 	defer f.close()
-	for i := 0; i < 64; i++ {
+	samples := 0
+	sample := func() {
 		f.sampleOnce()
+		samples++
 	}
-	if avg := testing.AllocsPerRun(1000, f.sampleOnce); avg != 0 {
+	for i := 0; i < 64; i++ {
+		sample()
+	}
+	if avg := testing.AllocsPerRun(1000, sample); avg != 0 {
 		t.Fatalf("sampling with streaming profiler allocates %v allocs/op, want 0", avg)
 	}
-	if s.Observed() == 0 {
-		t.Fatal("profiler observed nothing — the gate proved the wrong path")
-	}
-	if got := s.Total(); got != s.Observed() {
-		t.Fatalf("merged total %d != observed %d", got, s.Observed())
+	// Every sample must reach the profiler: a total short of the samples
+	// taken means the gate proved the wrong path.
+	if got := s.Total(); got != int64(samples) {
+		t.Fatalf("profiler total %d, want one observation per sample (%d)", got, samples)
 	}
 }
 
