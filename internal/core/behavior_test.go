@@ -1,18 +1,22 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"dacce/internal/machine"
 	"dacce/internal/prog"
 	"dacce/internal/progtest"
 )
 
-// TestRecursionCompression checks that a hot self-recursive edge gets
-// the Fig. 5e counter compression after a re-encoding, that deep
-// recursion keeps the ccStack shallow, and that the compressed capture
-// still decodes to the exact expanded path.
-func TestRecursionCompression(t *testing.T) {
+// compressedRecursion runs main → f → f … to depth 60 with Fig. 5e
+// compression switched on for f → f by a pass in between, and returns
+// the encoder, the capture taken at the deepest frame, its shadow stack
+// and the run's stats.
+func compressedRecursion(t *testing.T) (*DACCE, *Capture, []machine.Frame, *machine.RunStats) {
+	t.Helper()
 	b := prog.NewBuilder()
 	mainF := b.Func("main")
 	f := b.Func("f")
@@ -49,12 +53,20 @@ func TestRecursionCompression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-
 	if capDeep == nil {
 		t.Fatal("deep capture never taken")
 	}
+	return d, capDeep, shadowDeep, rs
+}
+
+// TestRecursionCompression checks that a hot self-recursive edge gets
+// the Fig. 5e counter compression after a re-encoding, that deep
+// recursion keeps the ccStack shallow, and that the compressed capture
+// still decodes to the exact expanded path.
+func TestRecursionCompression(t *testing.T) {
+	d, capDeep, shadowDeep, rs := compressedRecursion(t)
 	if len(capDeep.CC) > 3 {
-		t.Errorf("compressed ccStack has %d entries for depth-%d recursion, want ≤ 3", len(capDeep.CC), deep)
+		t.Errorf("compressed ccStack has %d entries for depth-60 recursion, want ≤ 3", len(capDeep.CC))
 	}
 	var compressed bool
 	for _, e := range capDeep.CC {
@@ -75,6 +87,44 @@ func TestRecursionCompression(t *testing.T) {
 	}
 	if rs.C.MaxCCDepth > 3 {
 		t.Errorf("MaxCCDepth = %d, want ≤ 3 with compression", rs.C.MaxCCDepth)
+	}
+}
+
+// TestForgedRepetitionCountFailsFast: a capture whose compressed entry
+// claims 2^32−1 repetitions, the most the wire format admits, must fail
+// with the step error after at most maxDecodeSteps frames, through both
+// decode paths, instead of expanding every repetition.
+func TestForgedRepetitionCountFailsFast(t *testing.T) {
+	d, capDeep, _, _ := compressedRecursion(t)
+	forged := *capDeep
+	forged.CC = append([]CCEntry(nil), capDeep.CC...)
+	found := false
+	for i := range forged.CC {
+		if forged.CC[i].Count > 0 {
+			forged.CC[i].Count = math.MaxUint32
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("capture has no compressed entry to forge")
+	}
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"Decode", func() error { _, err := d.Decode(&forged); return err }},
+		{"DecodeNode", func() error { _, err := d.DecodeNode(&forged); return err }},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- tc.decode() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, errDecodeSteps) {
+				t.Errorf("%s of a forged count: err = %v, want %v", tc.name, err, errDecodeSteps)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s of a forged count still running after 10s", tc.name)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"dacce/internal/machine"
@@ -38,10 +38,14 @@ func twoLevelProgram(tb testing.TB, callers, leavesPerCaller, reserved int) (*pr
 	return b.MustBuild(), base, extra
 }
 
-// diffIndexes compares the per-function in-edge lists of two decode
-// indexes entry for entry.
+// diffIndexes compares two decode indexes: the same dictionary, and the
+// same per-function in-edge lists entry for entry (the same edges, so
+// the same sample-heat credit).
 func diffIndexes(tb testing.TB, epoch uint32, got, want *decodeIndex) {
 	tb.Helper()
+	if got.asn != want.asn {
+		tb.Errorf("epoch %d: indexes hold different dictionaries", epoch)
+	}
 	if len(got.in) != len(want.in) {
 		tb.Errorf("epoch %d: delta index has %d functions with in-edges, full rebuild has %d", epoch, len(got.in), len(want.in))
 	}
@@ -51,7 +55,7 @@ func diffIndexes(tb testing.TB, epoch uint32, got, want *decodeIndex) {
 			tb.Errorf("epoch %d: fn %d missing from delta index (want %d in-edges)", epoch, fn, len(wlist))
 			continue
 		}
-		if !reflect.DeepEqual(glist, wlist) {
+		if !slices.Equal(glist, wlist) {
 			tb.Errorf("epoch %d: fn %d in-edges differ:\n delta %+v\n full  %+v", epoch, fn, glist, wlist)
 		}
 	}
@@ -87,15 +91,10 @@ func TestDeltaIndexAndStubSetAgainstFullRebuild(t *testing.T) {
 		t.Fatalf("epoch %d after pass, want %d", next.epoch, prev.epoch+1)
 	}
 
-	// (a) The published delta-derived index equals a full rebuild, heat
-	// table included (a full pass gives the live index one over every
-	// registered edge).
-	full := newDecodeIndex(d.g, next.dicts[len(next.dicts)-1])
+	// (a) The published delta-derived index equals a full rebuild over
+	// every registered edge, as a full pass would build it.
 	got := next.idx[len(next.idx)-1]
-	diffIndexes(t, next.epoch, got, full)
-	if want := heatTable(d.g.Edges); !reflect.DeepEqual(got.edges, want) {
-		t.Errorf("delta index tracks %d heat-table edges, full rebuild %d", len(got.edges), len(want))
-	}
+	diffIndexes(t, next.epoch, got, newDecodeIndex(d.g, got.asn, d.g.Edges))
 
 	// (b) Every edge whose action changed sits at a dirty site.
 	totalSites := 0
@@ -137,11 +136,11 @@ func TestDeltaIndexChainMatchesFullOnWorkload(t *testing.T) {
 		t.Fatal("run performed no incremental passes; chain check is vacuous")
 	}
 	snap := d.cur()
-	for e := range snap.idx {
-		// Edges discovered after epoch e have no code in dicts[e], so a
-		// from-scratch rebuild over today's graph reconstructs exactly
-		// the in-edge lists the epoch froze.
-		diffIndexes(t, uint32(e), snap.idx[e], newDecodeIndex(d.g, snap.dicts[e]))
+	for e, ix := range snap.idx {
+		// Edges discovered after epoch e lie past its dictionary, so a
+		// from-scratch rebuild over the prefix it covers reconstructs
+		// exactly the in-edge lists the epoch froze.
+		diffIndexes(t, uint32(e), ix, newDecodeIndex(d.g, ix.asn, d.g.Edges[:len(ix.asn.Codes)]))
 	}
 }
 

@@ -64,10 +64,12 @@ type Options struct {
 	// targets dispatched by an inline compare chain (Fig. 3d); above
 	// it, the one-probe hash table of Fig. 4 is generated.
 	InlineThreshold int
-	// CompressMinPushes enables recursion compression on a back edge
-	// once it has caused this many ccStack pushes (paper §4: "if they
-	// are highly repetitive, adjust the encoding algorithm on recursive
-	// calls").
+	// CompressMinPushes enables recursion compression on a back edge,
+	// at the next pass, once its Freq reaches this many (paper §4: "if
+	// they are highly repetitive, adjust the encoding algorithm on
+	// recursive calls"). Freq counts handler traps plus sampled
+	// occurrences (see graph.Edge.Freq), not ccStack pushes: a back edge
+	// pushes on every call, but no stub counts it.
 	CompressMinPushes int64
 	// Trig holds the adaptive-controller thresholds.
 	Trig Triggers
@@ -306,8 +308,7 @@ func New(p *prog.Program, opt Options) *DACCE {
 	d.snap.Store(&encSnap{
 		epoch:    0,
 		maxID:    asn.MaxID,
-		dicts:    []*blenc.Assignment{asn},
-		idx:      []*decodeIndex{newDecodeIndex(d.g, asn)},
+		idx:      []*decodeIndex{newDecodeIndex(d.g, asn, d.g.Edges)},
 		tail:     map[prog.FuncID]bool{},
 		compress: map[graph.EdgeKey]bool{},
 	})
@@ -343,10 +344,10 @@ func (d *DACCE) MaxID() uint64 { return d.cur().maxID }
 // Dict returns the decode dictionary for an epoch, or nil. Lock-free.
 func (d *DACCE) Dict(epoch uint32) *blenc.Assignment {
 	snap := d.cur()
-	if int(epoch) >= len(snap.dicts) {
+	if int(epoch) >= len(snap.idx) {
 		return nil
 	}
-	return snap.dicts[epoch]
+	return snap.idx[epoch].asn
 }
 
 // Install implements machine.Scheme: every call site starts as a
@@ -470,16 +471,21 @@ func (d *DACCE) OnSample(t *machine.Thread, capture any) {
 	snap := d.cur()
 
 	// Estimate edge heat from the decoded sample so that even
-	// instrumentation-free (code 0) edges get frequency credit. The
-	// capture's epoch always has an index: the capture was taken before
-	// this observer ran, and snapshots only grow.
+	// instrumentation-free (code 0) edges get frequency credit: each
+	// frame credits its call edge, found by site among its target's
+	// entries in the capture epoch's index. The capture's epoch always
+	// has an index: the capture was taken before this observer ran, and
+	// snapshots only grow.
 	if st, ok := t.State.(*tls); ok && int(c.Epoch) < len(snap.idx) {
-		dec := Decoder{P: d.p, Dicts: snap.dicts, idx: snap.idx}
+		dec := Decoder{P: d.p, idx: snap.idx}
 		if ctx, err := dec.decodeOne(c, &st.scratch); err == nil {
 			ix := snap.idx[c.Epoch]
-			for i := 1; i < len(ctx); i++ {
-				if e := ix.edges[graph.EdgeKey{Site: ctx[i].Site, Target: ctx[i].Fn}]; e != nil {
-					atomic.AddInt64(&e.Freq, 1)
+			for _, f := range ctx[1:] {
+				for _, ent := range ix.in[f.Fn] {
+					if ent.e.Site == f.Site {
+						atomic.AddInt64(&ent.e.Freq, 1)
+						break
+					}
 				}
 			}
 			t.C.InstrCost += machine.CostSampleDecode
@@ -582,7 +588,7 @@ func (d *DACCE) Stats() *Stats {
 	s.Nodes = d.g.NumNodes()
 	s.Edges = d.g.NumEdges()
 	s.MaxID = snap.maxID
-	s.Overflowed = snap.dicts[len(snap.dicts)-1].Overflowed
+	s.Overflowed = snap.asn().Overflowed
 	return &s
 }
 

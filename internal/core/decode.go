@@ -11,8 +11,14 @@ import (
 	"dacce/internal/telemetry"
 )
 
-// maxDecodeSteps bounds the decoder against corrupted input.
+// maxDecodeSteps bounds the frames one capture's decode may produce,
+// every repetition of a compressed recursion included, so a corrupt or
+// forged capture (a ccStack Count near 2^32, say) fails fast instead of
+// buying unbounded time and memory.
 const maxDecodeSteps = 1 << 22
+
+// errDecodeSteps is the error a decode over maxDecodeSteps fails with.
+var errDecodeSteps = fmt.Errorf("core: decode exceeded %d steps (corrupt capture?)", maxDecodeSteps)
 
 // Decode decodes a capture into the full calling context, root first
 // (Algorithm 1 plus the expansion of compressed recursion counts). For
@@ -23,7 +29,7 @@ const maxDecodeSteps = 1 << 22
 func (d *DACCE) Decode(c *Capture) (Context, error) {
 	start := time.Now()
 	snap := d.cur()
-	dec := &Decoder{P: d.p, Dicts: snap.dicts, idx: snap.idx}
+	dec := &Decoder{P: d.p, idx: snap.idx}
 	ctx, err := dec.decode(c, true)
 	dur := time.Since(start).Nanoseconds()
 	d.decodeHist.Observe(dur)
@@ -42,21 +48,20 @@ func (d *DACCE) Decode(c *Capture) (Context, error) {
 // wraps one internally; the PCCE baseline reuses it with a single
 // static epoch.
 type Decoder struct {
-	P     *prog.Program
-	Dicts []*blenc.Assignment
+	P *prog.Program
 
-	// idx holds one immutable decode index per epoch, parallel to
-	// Dicts. Decoding walks only these, never a call graph, so a
-	// Decoder is safe for concurrent use.
+	// idx holds one immutable decode record per epoch: its dictionary
+	// and in-edge index. Decoding walks only these, never a call graph,
+	// so a Decoder is safe for concurrent use.
 	idx []*decodeIndex
 }
 
 // NewDecoder builds a decoder for program p from the per-epoch
-// dictionaries and a call graph holding every edge they encode. The
-// graph is read only while the epoch indexes are built, and must not be
-// mutated concurrently with this call.
+// dictionaries and a call graph holding every edge they cover. The
+// epoch indexes point into the graph, which must not be mutated
+// concurrently with this call.
 func NewDecoder(p *prog.Program, g *graph.Graph, dicts []*blenc.Assignment) *Decoder {
-	return &Decoder{P: p, Dicts: dicts, idx: newDecodeIndexes(g, dicts)}
+	return &Decoder{P: p, idx: newDecodeIndexes(g, dicts)}
 }
 
 // decodeScratch holds a thread's reusable decode buffers so the
@@ -109,23 +114,18 @@ func (dec *Decoder) decode(c *Capture, withSpawn bool) (Context, error) {
 	return append(prefix, body...), nil
 }
 
-// step is one decodable in-edge at a given epoch.
-type step struct {
-	site   prog.SiteID
-	caller prog.FuncID
-	code   uint64
-}
-
-// findEdge returns the unique encoded in-edge of fn whose code range
+// findEdge returns the unique in-edge entry of fn whose code range
 // contains id at the index's epoch (Algorithm 1 lines 26–33:
-// En(e) ≤ id < En(e)+numCC(p)), or ok=false.
-func (ix *decodeIndex) findEdge(fn prog.FuncID, id uint64) (step, bool) {
-	for _, e := range ix.in[fn] {
-		if e.code <= id && id < e.code+e.ncc {
-			return step{site: e.site, caller: e.caller, code: e.code}, true
+// En(e) ≤ id < En(e)+numCC(p)), or nil. Unencoded entries have an empty
+// range and never match.
+func (ix *decodeIndex) findEdge(fn prog.FuncID, id uint64) *inEdge {
+	list := ix.in[fn]
+	for i := range list {
+		if ent := &list[i]; ent.code <= id && id < ent.code+ent.ncc {
+			return ent
 		}
 	}
-	return step{}, false
+	return nil
 }
 
 // decodeOne decodes the thread-local part of a capture (no spawn
@@ -154,15 +154,14 @@ func (dec *Decoder) decodeOne(c *Capture, scratch *decodeScratch) (Context, erro
 // reversal (and with it any touching of the frames after the walk) is
 // confined to the slice-materializing path.
 func (dec *Decoder) decodeOneRev(c *Capture, scratch *decodeScratch) ([]ContextFrame, error) {
-	if int(c.Epoch) >= len(dec.Dicts) || int(c.Epoch) >= len(dec.idx) {
+	if int(c.Epoch) >= len(dec.idx) {
 		return nil, fmt.Errorf("core: capture epoch %d has no dictionary", c.Epoch)
 	}
 	if err := dec.validate(c); err != nil {
 		return nil, err
 	}
-	dict := dec.Dicts[c.Epoch]
 	ix := dec.idx[c.Epoch]
-	maxID := dict.MaxID
+	maxID := ix.asn.MaxID
 
 	ifun := c.Fn
 	id := c.ID
@@ -184,12 +183,14 @@ func (dec *Decoder) decodeOneRev(c *Capture, scratch *decodeScratch) ([]ContextF
 	adjust()
 
 	// rev[i].Site is the call site through which rev[i].Fn was entered;
-	// filled in when the incoming edge is discovered.
+	// filled in when the incoming edge is discovered. len(rev) counts
+	// the frames this capture's walk has produced, repetitions
+	// included, and maxDecodeSteps bounds it: every step of the walk
+	// appends a frame.
 	rev = append(rev, ContextFrame{Site: prog.NoSite, Fn: ifun})
-	steps := 0
 	for {
-		if steps++; steps > maxDecodeSteps {
-			return nil, fmt.Errorf("core: decode exceeded %d steps (corrupt capture?)", maxDecodeSteps)
+		if len(rev) > maxDecodeSteps {
+			return nil, errDecodeSteps
 		}
 
 		// Pop phase (Algorithm 1 lines 9–25): at the head of a sub-path
@@ -212,7 +213,7 @@ func (dec *Decoder) decodeOneRev(c *Capture, scratch *decodeScratch) ([]ContextF
 			// sub-path whose encoding is the entry's saved id.
 			for k := uint32(0); k < top.Count; k++ {
 				var err error
-				rev, err = dec.segment(rev, dict, ix, top.ID, caller, ifun, top.Site)
+				rev, err = segment(rev, ix, top.ID, caller, ifun, top.Site)
 				if err != nil {
 					return nil, fmt.Errorf("expanding repetition %d of %v: %w", k, top, err)
 				}
@@ -230,13 +231,13 @@ func (dec *Decoder) decodeOneRev(c *Capture, scratch *decodeScratch) ([]ContextF
 
 		// Acyclic sub-path phase (lines 26–33): follow the unique
 		// encoded in-edge whose range contains id.
-		st, ok := ix.findEdge(ifun, id)
-		if !ok {
+		ent := ix.findEdge(ifun, id)
+		if ent == nil {
 			return nil, fmt.Errorf("core: stuck decoding at f%d id=%d onstack=%v |cc|=%d (epoch %d)", ifun, id, onstack, len(cc), c.Epoch)
 		}
-		rev[len(rev)-1].Site = st.site
-		ifun = st.caller
-		id -= st.code
+		rev[len(rev)-1].Site = ent.e.Site
+		ifun = ent.e.Caller
+		id -= ent.code
 		rev = append(rev, ContextFrame{Site: prog.NoSite, Fn: ifun})
 	}
 
@@ -273,26 +274,29 @@ func (dec *Decoder) validate(c *Capture) error {
 // the acyclic sub-path from head (the back edge's target) to from (the
 // back edge's caller), whose encoding is eid. It appends the frames to
 // rev in deepest-first order — from, intermediate nodes, then head
-// entered via recSite — and returns the grown slice.
-func (dec *Decoder) segment(rev []ContextFrame, dict *blenc.Assignment, ix *decodeIndex, eid uint64, from, head prog.FuncID, recSite prog.SiteID) ([]ContextFrame, error) {
-	maxID := dict.MaxID
+// entered via recSite — and returns the grown slice. The frames count
+// against the capture's maxDecodeSteps like every other frame of rev.
+func segment(rev []ContextFrame, ix *decodeIndex, eid uint64, from, head prog.FuncID, recSite prog.SiteID) ([]ContextFrame, error) {
+	maxID := ix.asn.MaxID
 	if eid <= maxID {
 		return nil, fmt.Errorf("core: compressed entry id %d not in marker range (maxID %d)", eid, maxID)
 	}
 	id := eid - (maxID + 1)
 	cur := from
-	steps := 0
-	for !(cur == head && id == 0) {
-		if steps++; steps > maxDecodeSteps {
-			return nil, fmt.Errorf("core: repetition segment exceeded %d steps", maxDecodeSteps)
+	for {
+		if len(rev) > maxDecodeSteps {
+			return nil, errDecodeSteps
 		}
-		st, ok := ix.findEdge(cur, id)
-		if !ok {
+		if cur == head && id == 0 {
+			break
+		}
+		ent := ix.findEdge(cur, id)
+		if ent == nil {
 			return nil, fmt.Errorf("core: stuck in segment at f%d id=%d", cur, id)
 		}
-		rev = append(rev, ContextFrame{Site: st.site, Fn: cur})
-		id -= st.code
-		cur = st.caller
+		rev = append(rev, ContextFrame{Site: ent.e.Site, Fn: cur})
+		id -= ent.code
+		cur = ent.e.Caller
 	}
 	rev = append(rev, ContextFrame{Site: recSite, Fn: head})
 	return rev, nil

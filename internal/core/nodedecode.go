@@ -25,6 +25,19 @@ import (
 // Get/Put cycle allocates nothing.
 var nodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
+// maxPooledFrames caps the scratch nodeScratchPool keeps: a scratch
+// whose buffers one very deep capture grew past it is dropped, not
+// pinned in the pool for every later decode.
+const maxPooledFrames = 1 << 18
+
+// putNodeScratch returns s to nodeScratchPool unless it outgrew
+// maxPooledFrames.
+func putNodeScratch(s *decodeScratch) {
+	if cap(s.rev) <= maxPooledFrames && cap(s.cc) <= maxPooledFrames {
+		nodeScratchPool.Put(s)
+	}
+}
+
 // DAG returns the encoder's context DAG — the intern table every
 // DecodeNode result lives in. Nodes stay canonical at least as long as
 // their capture's epoch is at or above the encoder's low-water epoch;
@@ -42,10 +55,10 @@ func (d *DACCE) DAG() *ccdag.DAG { return d.dag }
 func (d *DACCE) DecodeNode(c *Capture) (*ccdag.Node, error) {
 	start := time.Now()
 	snap := d.cur()
-	dec := &Decoder{P: d.p, Dicts: snap.dicts, idx: snap.idx}
+	dec := &Decoder{P: d.p, idx: snap.idx}
 	scratch := nodeScratchPool.Get().(*decodeScratch)
 	n, err := dec.decodeNode(d.dag, c, scratch)
-	nodeScratchPool.Put(scratch)
+	putNodeScratch(scratch)
 	dur := time.Since(start).Nanoseconds()
 	d.decodeHist.Observe(dur)
 	if d.sink != nil {
@@ -88,7 +101,7 @@ func (d *DACCE) DecodeCaptureNode(capture any) (*ccdag.Node, error) {
 func (dec *Decoder) DecodeNode(dag *ccdag.DAG, c *Capture) (*ccdag.Node, error) {
 	scratch := nodeScratchPool.Get().(*decodeScratch)
 	n, err := dec.decodeNode(dag, c, scratch)
-	nodeScratchPool.Put(scratch)
+	putNodeScratch(scratch)
 	return n, err
 }
 

@@ -164,11 +164,11 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	d.pendingNew = nil
 
 	t0 := time.Now()
-	prev := snap.dicts[len(snap.dicts)-1]
-	wantIncremental := len(snap.dicts) > 1 &&
+	prev := snap.idx[len(snap.idx)-1]
+	wantIncremental := len(snap.idx) > 1 &&
 		(mode == passForceIncremental || (mode == passAuto && trig.discoveryOnly()))
 	if wantIncremental {
-		asn, changed, affected, full := blenc.Refresh(d.g, prev, plan.added,
+		asn, changed, affected, full := blenc.Refresh(d.g, prev.asn, plan.added,
 			blenc.Options{Budget: d.opt.Budget, NoHotOrder: d.opt.NoHotFirst})
 		plan.asn = asn
 		if !full {
@@ -188,11 +188,11 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 
 	t1 := time.Now()
 	if plan.incremental {
-		plan.idx, plan.indexEntries = deltaDecodeIndex(d.g, snap.idx[len(snap.idx)-1],
+		plan.idx, plan.indexEntries = deltaDecodeIndex(d.g, prev,
 			plan.asn, plan.changed, plan.affected)
 	} else {
-		plan.idx = newDecodeIndex(d.g, plan.asn)
-		plan.idx.edges = heatTable(d.g.Edges)
+		// Encode coded every registered edge.
+		plan.idx = newDecodeIndex(d.g, plan.asn, d.g.Edges)
 		plan.indexEntries = plan.asn.EncodedEdges
 	}
 	plan.indexNanos = time.Since(t1).Nanoseconds()
@@ -329,7 +329,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	if self != nil {
 		tid = int32(self.ID())
 	}
-	if d.sink != nil && plan.asn.Overflowed && !snap.dicts[len(snap.dicts)-1].Overflowed {
+	if d.sink != nil && plan.asn.Overflowed && !snap.asn().Overflowed {
 		d.sink.Emit(telemetry.Event{
 			Kind: telemetry.EvIDOverflow, Thread: tid,
 			Epoch: snap.epoch, Site: prog.NoSite, Fn: prog.NoFunc,
@@ -342,14 +342,13 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 	// the new epoch in one atomic step. The world is stopped, so no
 	// machine thread observes the window between publication and the
 	// stub/TLS rewrite; external Decode callers see either epoch fully.
-	// The full slice expressions force append to copy, keeping the old
-	// snapshot's dicts/idx immutable for readers that still hold it.
+	// The full slice expression forces append to copy, keeping the old
+	// snapshot's idx immutable for readers that still hold it.
 	// tail comes from the commit-time snapshot: a tail fix-up may have
 	// published additions after the plan was prepared.
 	next := &encSnap{
 		epoch:    snap.epoch + 1,
 		maxID:    plan.asn.MaxID,
-		dicts:    append(snap.dicts[:len(snap.dicts):len(snap.dicts)], plan.asn),
 		idx:      append(snap.idx[:len(snap.idx):len(snap.idx)], plan.idx),
 		tail:     snap.tail,
 		compress: plan.compress,

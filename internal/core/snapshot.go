@@ -22,10 +22,10 @@ import (
 //
 //   - every field is immutable after publication; mutation is always
 //     copy-on-write under d.mu;
-//   - dicts and idx grow by one entry per epoch and share their prefix
-//     with the previous snapshot (the slices are append-copied, the
-//     *Assignment/*decodeIndex elements are shared and frozen);
-//   - epoch == len(dicts)-1 and maxID == dicts[epoch].MaxID;
+//   - idx grows by one entry per epoch and shares its prefix with the
+//     previous snapshot (the slice is append-copied, the *decodeIndex
+//     elements are shared and frozen);
+//   - epoch == len(idx)-1 and maxID == idx[epoch].asn.MaxID;
 //   - tail and compress are never mutated in place: a new map replaces
 //     the old one when an entry is added.
 type encSnap struct {
@@ -34,11 +34,9 @@ type encSnap struct {
 	// maxID is the current epoch's maximum context id; run-time ids in
 	// (maxID, 2*maxID+1] mark saved context on the ccStack.
 	maxID uint64
-	// dicts holds one decode dictionary per epoch (Fig. 6).
-	dicts []*blenc.Assignment
-	// idx holds one immutable decode index per epoch, parallel to
-	// dicts; it lets the decoder run without touching the live (still
-	// growing) call graph.
+	// idx holds one immutable decode record per epoch (Fig. 6): its
+	// dictionary and in-edge index. It lets the decoder run without
+	// touching the live (still growing) call graph.
 	idx []*decodeIndex
 	// tail is the set of functions known to contain tail calls; calls
 	// into them must save/restore the encoding context (paper §5.2).
@@ -53,6 +51,9 @@ type encSnap struct {
 // lock-free callers see some recent consistent snapshot.
 func (d *DACCE) cur() *encSnap { return d.snap.Load() }
 
+// asn returns the current epoch's dictionary.
+func (s *encSnap) asn() *blenc.Assignment { return s.idx[len(s.idx)-1].asn }
+
 // withTailLocked returns a copy of s whose tail set additionally
 // contains fn. Caller holds d.mu and publishes the result.
 func (s *encSnap) withTailLocked(fn prog.FuncID) *encSnap {
@@ -66,82 +67,71 @@ func (s *encSnap) withTailLocked(fn prog.FuncID) *encSnap {
 	return &ns
 }
 
-// decodeIndex is the per-epoch decode structure: for every function,
-// the encoded in-edges of the epoch with their code ranges (Algorithm 1
-// lines 26–33), plus, in the live encoder only, an edge lookup table
-// for crediting sample-estimated frequencies. It is built once per
+// decodeIndex is one epoch's decode record (paper Fig. 6): the epoch's
+// dictionary and, for every function, its in-edges at that epoch with
+// their code ranges (Algorithm 1 lines 26–33). It is the only per-epoch
+// edge table. The decoder walks it, and the live encoder's sampling
+// controller credits sample heat through it: OnSample finds each
+// decoded frame's edge among its target's entries. It is built once per
 // epoch — by the pass that opens the epoch, or from a snapshot by
 // Restore and NewDecoder — and immutable afterwards, so the decoder and
 // the sampling controller can walk it lock-free while the live graph
-// keeps growing on other threads. Building it reads the epoch's dense
-// dictionary directly: the encoded edges are the Encoded entries of
-// asn.Codes, in Edge.Seq order.
+// keeps growing on other threads.
 //
-// An epoch's encoded edge set is frozen by construction: edges
-// discovered after the pass are unencoded (they live on the ccStack and
-// decode through the program's static site table, not through the
-// graph), so the index is complete for every capture of its epoch.
+// An index lists the edges the dictionary covers, g.Edges[:len(Codes)],
+// each once under its target in Node.In order; Restore's current epoch
+// alone lists every restored edge. An edge the epoch does not encode (a
+// back edge, a budget exclusion, or an edge past the dictionary) gets
+// code 0 and ncc 0, an empty range that findEdge never matches. Edges
+// discovered after the index was built are absent. That costs the
+// decoder nothing: they are unencoded at this epoch, so they live on the
+// ccStack and decode through the program's static site table. It does
+// cost heat: a sampled frame through such an edge earns no Freq credit
+// until a later epoch's index lists the edge.
 type decodeIndex struct {
-	// in maps a function to its encoded in-edges at this epoch, in
-	// Node.In insertion order, each carrying the caller's numCC for the
-	// range check.
+	// asn is the epoch's dictionary.
+	asn *blenc.Assignment
+	// in maps each function to its in-edge entries at this epoch.
 	in map[prog.FuncID][]inEdge
-	// edges is the heat table: it maps every edge that existed when the
-	// index was built to its graph edge, whose Freq field is updated
-	// atomically by the sampling controller. Only the live encoder's
-	// OnSample reads it, so only the live encoder fills it (heatTable);
-	// standalone decoders (NewDecoder) leave it nil. Edges discovered
-	// later are absent; they are counted directly by their unencoded
-	// stubs, so no credit is lost.
-	edges map[graph.EdgeKey]*graph.Edge
 }
 
-// inEdge is one encoded in-edge of a function at one epoch.
+// inEdge is one in-edge of a function at one epoch: the edge and its
+// code range [code, code+ncc), where ncc is the caller's numCC.
 type inEdge struct {
-	site   prog.SiteID
-	caller prog.FuncID
-	code   uint64
-	ncc    uint64
+	e    *graph.Edge
+	code uint64
+	ncc  uint64
 }
 
-// newInEdge is e's decode-index entry under asn.
-func newInEdge(g *graph.Graph, asn *blenc.Assignment, e *graph.Edge, code uint64) inEdge {
-	return inEdge{site: e.Site, caller: e.Caller, code: code, ncc: asn.NumCCOf(g.Node(e.Caller))}
+// newInEdge is e's entry under asn, given e's code there: its code
+// range, or the empty range when the epoch does not encode e.
+func newInEdge(g *graph.Graph, asn *blenc.Assignment, e *graph.Edge, code blenc.Code) inEdge {
+	if !code.Encoded {
+		return inEdge{e: e}
+	}
+	return inEdge{e: e, code: code.Value, ncc: asn.NumCCOf(g.Node(e.Caller))}
 }
 
-// newDecodeIndex builds the immutable decode index for one epoch's
-// assignment, without a heat table. The caller keeps g from being
-// mutated meanwhile: it holds d.mu, or owns g outright (restored and
-// offline decoders). g holds every edge asn codes (it may hold more).
-func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment) *decodeIndex {
-	ix := &decodeIndex{in: make(map[prog.FuncID][]inEdge)}
-	for seq, code := range asn.Codes {
-		if !code.Encoded {
-			continue
-		}
-		e := g.Edges[seq]
-		ix.in[e.Target] = append(ix.in[e.Target], newInEdge(g, asn, e, code.Value))
+// newDecodeIndex builds the immutable decode index of asn over edges,
+// a prefix of g.Edges. The caller keeps g from being mutated meanwhile:
+// it holds d.mu, or owns g outright (restored and offline decoders).
+func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment, edges []*graph.Edge) *decodeIndex {
+	ix := &decodeIndex{asn: asn, in: make(map[prog.FuncID][]inEdge)}
+	for _, e := range edges {
+		code, _ := asn.CodeOf(e)
+		ix.in[e.Target] = append(ix.in[e.Target], newInEdge(g, asn, e, code))
 	}
 	return ix
 }
 
-// heatTable builds the live encoder's sample-credit table over edges.
-func heatTable(edges []*graph.Edge) map[graph.EdgeKey]*graph.Edge {
-	t := make(map[graph.EdgeKey]*graph.Edge, len(edges))
-	for _, e := range edges {
-		t[edgeKeyOf(e)] = e
-	}
-	return t
-}
-
-// newDecodeIndexes builds one decode index per epoch dictionary. The
-// final graph is a superset of every epoch's edge set; edges discovered
-// after an epoch's pass lie past the end of its Codes and are skipped,
-// so each index matches the one the live pass built.
+// newDecodeIndexes builds one decode index per epoch dictionary, each
+// over the edges its dictionary covers. The final graph is a superset of
+// every epoch's edge set, so each index matches the one the live pass
+// built.
 func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex {
 	idx := make([]*decodeIndex, 0, len(dicts))
 	for _, asn := range dicts {
-		idx = append(idx, newDecodeIndex(g, asn))
+		idx = append(idx, newDecodeIndex(g, asn, g.Edges[:len(asn.Codes)]))
 	}
 	return idx
 }
@@ -149,10 +139,12 @@ func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex 
 // deltaDecodeIndex derives the next epoch's decode index from the
 // previous one after an incremental Refresh, rebuilding in-edge lists
 // only for the functions the pass renumbered. It mirrors the
-// encSnap/compress copy-on-write idiom: the map headers are copied (an
-// O(nodes + edges) pointer copy, paid off-pause during the concurrent
-// prepare), but the in-edge lists of unaffected functions are shared
-// with the previous epoch and no code or numCC is recomputed for them.
+// encSnap/compress copy-on-write idiom: the map header is copied (an
+// O(nodes) pointer copy, paid off-pause during the concurrent prepare),
+// but the in-edge lists of unaffected functions are shared with the
+// previous epoch and no code or numCC is recomputed for them. Refresh's
+// changed set includes every edge registered since prev, so the result
+// lists prev's edges plus changed: every edge asn covers.
 //
 // The dirty set is affected ∪ targets(changed): affected alone would
 // already suffice — a function's in-edge ranges depend only on its own
@@ -160,8 +152,8 @@ func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex 
 // renumbered nodes — but the union keeps the index sound even against
 // a Refresh that reports a changed edge outside its affected closure.
 //
-// Returns the new index and how many in-edge entries were (re)built,
-// for per-phase cost attribution.
+// Returns the new index and how many encoded in-edge entries were
+// (re)built, for per-phase cost attribution.
 func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, changed []*graph.Edge, affected map[prog.FuncID]bool) (*decodeIndex, int) {
 	dirty := make(map[prog.FuncID]bool, len(affected)+len(changed))
 	for fn := range affected {
@@ -171,18 +163,7 @@ func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, 
 		dirty[e.Target] = true
 	}
 
-	ix := &decodeIndex{
-		in:    make(map[prog.FuncID][]inEdge, len(prev.in)+len(dirty)),
-		edges: make(map[graph.EdgeKey]*graph.Edge, len(prev.edges)+len(changed)),
-	}
-	for k, e := range prev.edges {
-		ix.edges[k] = e
-	}
-	for _, e := range changed {
-		if k := edgeKeyOf(e); ix.edges[k] == nil {
-			ix.edges[k] = e
-		}
-	}
+	ix := &decodeIndex{asn: asn, in: make(map[prog.FuncID][]inEdge, len(prev.in)+len(dirty))}
 	for fn, list := range prev.in {
 		if !dirty[fn] {
 			ix.in[fn] = list
@@ -200,11 +181,13 @@ func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, 
 		var list []inEdge
 		for _, e := range n.In {
 			code, ok := asn.CodeOf(e)
-			if !ok || !code.Encoded {
+			if !ok {
 				continue
 			}
-			list = append(list, newInEdge(g, asn, e, code.Value))
-			rebuilt++
+			list = append(list, newInEdge(g, asn, e, code))
+			if code.Encoded {
+				rebuilt++
+			}
 		}
 		if len(list) > 0 {
 			ix.in[fn] = list

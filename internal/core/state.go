@@ -164,7 +164,8 @@ func (d *DACCE) ExportState() *EncoderState {
 		}
 		return st.Compress[i].Target < st.Compress[j].Target
 	})
-	for _, asn := range snap.dicts {
+	for _, ix := range snap.idx {
+		asn := ix.asn
 		ep := StateEpoch{
 			MaxID:             asn.MaxID,
 			Overflowed:        asn.Overflowed,
@@ -396,13 +397,12 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 	d := New(p, opt)
 	g := st.rebuildGraph(p)
 	dicts := st.assignments(g)
-	idx := newDecodeIndexes(g, dicts)
-	// The restored graph holds every exported edge, and so does each
-	// epoch's heat table; the tables are immutable, so one serves all.
-	heat := heatTable(g.Edges)
-	for _, ix := range idx {
-		ix.edges = heat
-	}
+	// Only the current epoch is ever sampled after a restore, so only
+	// its index lists every restored edge, including those discovered
+	// after the snapshot's last pass: they earn sample heat from the
+	// first sample on. The older epochs list what their codes cover.
+	last := len(dicts) - 1
+	idx := append(newDecodeIndexes(g, dicts[:last]), newDecodeIndex(g, dicts[last], g.Edges))
 	tail := make(map[prog.FuncID]bool, len(st.Tail))
 	for _, fn := range st.Tail {
 		tail[fn] = true
@@ -427,8 +427,7 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 	d.growRefsLocked(st.Epoch)
 	d.snap.Store(&encSnap{
 		epoch:    st.Epoch,
-		maxID:    dicts[len(dicts)-1].MaxID,
-		dicts:    dicts,
+		maxID:    dicts[last].MaxID,
 		idx:      idx,
 		tail:     tail,
 		compress: compress,
@@ -440,10 +439,10 @@ func Restore(p *prog.Program, opt Options, st *EncoderState) (*DACCE, error) {
 
 // NewDecoder builds a standalone decoder from the state: a skeletal
 // program (names, site callers and kinds) and one immutable decode
-// index per epoch, built from the rebuilt call graph. The decoder
-// shares nothing with the process that exported the state and is safe
-// for concurrent use — the decode-as-a-service path of cmd/dacced. It
-// carries no heat table: nothing credits edge frequencies in it.
+// index per epoch, built over the rebuilt call graph, which the indexes
+// keep alive. The decoder shares nothing with the process that exported
+// the state and is safe for concurrent use — the decode-as-a-service
+// path of cmd/dacced. Nothing credits edge frequencies through it.
 func (st *EncoderState) NewDecoder() (*Decoder, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -457,15 +456,6 @@ func (st *EncoderState) NewDecoder() (*Decoder, error) {
 	}
 	g := st.rebuildGraph(p)
 	return NewDecoder(p, g, st.assignments(g)), nil
-}
-
-// NumEdgesAtEpoch returns how many edges existed when the given epoch's
-// pass ran, or the current edge count for the newest epoch.
-func (st *EncoderState) NumEdgesAtEpoch(epoch uint32) int {
-	if int(epoch) >= len(st.Epochs) {
-		return 0
-	}
-	return len(st.Epochs[epoch].Codes)
 }
 
 // Equal reports whether two states are identical field for field — the

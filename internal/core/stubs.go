@@ -504,7 +504,7 @@ func (d *DACCE) actionFor(e edgeRef) edgeAction {
 // delta-rebuild equivalence tests use it to compare the action an edge
 // had under the previous epoch against the current one.
 func (d *DACCE) actionForIn(snap *encSnap, e edgeRef) edgeAction {
-	asn := snap.dicts[len(snap.dicts)-1]
+	asn := snap.asn()
 	ge := d.g.Edge(e.site, e.target)
 	act := edgeAction{target: e.target}
 	if !s_isTail(d.p, e.site) {

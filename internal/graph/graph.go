@@ -58,12 +58,13 @@ type Edge struct {
 	Kind   prog.Kind
 
 	// Freq is the observed invocation count used by adaptive encoding to
-	// order edges hottest-first. Unencoded stubs count it directly (they
-	// are instrumented anyway); for zero-cost encoded edges it is
-	// re-estimated from decoded samples. Bumped with atomic adds by
-	// traps and the sampling controller while the world runs, and read
-	// atomically by encoding passes (which may prepare concurrently with
-	// live threads).
+	// order edges hottest-first. No stub counts it, encoded or not. DACCE
+	// adds one per runtime-handler trap on the edge, an injected
+	// discovery's credited count, and one per decoded sample frame on the
+	// edge once an epoch's decode index lists it; PCCE sets it from a
+	// profile. Bumped with atomic adds by traps and the sampling
+	// controller while the world runs, and read atomically by encoding
+	// passes (which may prepare concurrently with live threads).
 	Freq int64
 
 	// Back marks the edge as a back edge in the most recent
@@ -183,8 +184,9 @@ func (g *Graph) AddNode(fn prog.FuncID) *Node {
 	return n
 }
 
-// Edge returns the edge for (site, target), or nil. Safe to call
-// concurrently with discovery on any site.
+// Edge returns the edge for (site, target), or nil: Algorithm 1's
+// getEdge(cs, ifun) lookup. Safe to call concurrently with discovery on
+// any site.
 func (g *Graph) Edge(site prog.SiteID, target prog.FuncID) *Edge {
 	sh := g.shardOf(site)
 	sh.mu.Lock()
@@ -265,13 +267,6 @@ func (g *Graph) AddEdge(site prog.SiteID, target prog.FuncID) (*Edge, bool) {
 		g.RegisterEdges([]*Edge{e})
 	}
 	return e, isNew
-}
-
-// GetEdge implements the decoder's getEdge(cs, ifun) lookup: the edge at
-// call site cs that ends at ifun (Algorithm 1, line 13). Returns nil if
-// no such edge exists.
-func (g *Graph) GetEdge(cs prog.SiteID, ifun prog.FuncID) *Edge {
-	return g.Edge(cs, ifun)
 }
 
 // dfsColor values for ClassifyBackEdges.

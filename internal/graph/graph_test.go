@@ -77,11 +77,11 @@ func TestIndirectSiteMultipleEdges(t *testing.T) {
 	if got := len(g.EdgesAt(s)); got != 2 {
 		t.Fatalf("EdgesAt = %d edges, want 2", got)
 	}
-	if g.GetEdge(s, e) == nil || g.GetEdge(s, f) == nil {
-		t.Fatal("GetEdge missed an indirect edge")
+	if g.Edge(s, e) == nil || g.Edge(s, f) == nil {
+		t.Fatal("Edge missed an indirect edge")
 	}
-	if g.GetEdge(s, a) != nil {
-		t.Fatal("GetEdge invented an edge")
+	if g.Edge(s, a) != nil {
+		t.Fatal("Edge invented an edge")
 	}
 }
 

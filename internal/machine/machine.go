@@ -251,15 +251,6 @@ func (m *Machine) SetStub(site prog.SiteID, s Stub) {
 // Patches returns the number of stub patches performed so far.
 func (m *Machine) Patches() int64 { return m.patches.Load() }
 
-// StubAt returns the current stub of a site.
-func (m *Machine) StubAt(site prog.SiteID) Stub {
-	sp := m.slots[site].Load()
-	if sp == nil {
-		return nil
-	}
-	return *sp
-}
-
 // ResolvePLT performs the dynamic linker's lazy binding for a PLT site
 // and marks the target's module loaded.
 func (m *Machine) ResolvePLT(site prog.SiteID) prog.FuncID {

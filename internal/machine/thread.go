@@ -150,15 +150,6 @@ func (r *RunStats) SteadyOverhead() float64 {
 	return float64(r.C.InstrCost-r.C.SteadyInstr) / float64(base)
 }
 
-// TotalOverhead includes the un-amortized re-encoding cost on top of
-// the per-call instrumentation overhead.
-func (r *RunStats) TotalOverhead() float64 {
-	if r.C.BaseCost == 0 {
-		return 0
-	}
-	return float64(r.C.InstrCost+r.C.ReencodeCost) / float64(r.C.BaseCost)
-}
-
 // CallsPerSecond scales call counts to the paper's calls/s units using
 // the nominal clock of NominalHz model cycles per second.
 func (r *RunStats) CallsPerSecond() float64 {

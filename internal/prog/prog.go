@@ -209,9 +209,6 @@ func (p *Program) FuncByName(name string) *Function {
 	return nil
 }
 
-// SiteOf returns the i-th call site of function f.
-func (p *Program) SiteOf(f FuncID, i int) SiteID { return p.Funcs[f].Sites[i] }
-
 // Validate checks structural invariants of the program; the builder
 // guarantees them, but generated programs are checked in tests.
 func (p *Program) Validate() error {

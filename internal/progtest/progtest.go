@@ -77,13 +77,6 @@ func (s *Script) Body() prog.Body {
 	}
 }
 
-// InstallAll installs the script body on every declared function.
-func (s *Script) InstallAll(b *prog.Builder, funcs ...prog.FuncID) {
-	for _, f := range funcs {
-		b.Body(f, s.Body())
-	}
-}
-
 // Fixture bundles a built program with name lookups for tests.
 type Fixture struct {
 	P     *prog.Program

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"dacce/internal/core"
 	"dacce/internal/machine"
 	"dacce/internal/persist"
+	"dacce/internal/prog"
 	"dacce/internal/workload"
 )
 
@@ -457,6 +459,78 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("mixed batch failed outright")
 	} else if dr.Results[0].Error == "" || dr.Results[1].Error != "" {
 		t.Fatalf("mixed batch results: %+v", dr.Results)
+	}
+}
+
+// TestDecodeForgedRepetitionCountFailsFast: a capture whose compressed
+// recursion entry claims 2^32−1 repetitions, the most the wire parser
+// accepts, gets a per-capture step error within the decode bound
+// instead of holding the handler while it expands every repetition.
+func TestDecodeForgedRepetitionCountFailsFast(t *testing.T) {
+	b := prog.NewBuilder()
+	mainF := b.Func("main")
+	f := b.Func("f")
+	mf := b.CallSite(mainF, f)
+	ff := b.CallSite(f, f)
+	var d *core.DACCE
+	limit := 2
+	var deep *core.Capture
+	b.Body(mainF, func(x prog.Exec) {
+		x.Call(mf, prog.NoFunc) // discover main→f and f→f
+		d.ForceReencode(x)      // compress f→f from here on
+		limit = 40
+		x.Call(mf, prog.NoFunc)
+	})
+	b.Body(f, func(x prog.Exec) {
+		if x.Depth() < limit+1 {
+			x.Call(ff, prog.NoFunc)
+		} else if limit == 40 && deep == nil {
+			deep = d.CaptureTyped(x.(*machine.Thread))
+		}
+	})
+	p := b.MustBuild()
+	quiet := core.Triggers{NewEdges: 1 << 30, UnencodedCalls: 1 << 60, HotMissSamples: 1 << 60}
+	d = core.New(p, core.Options{Trig: quiet, CompressMinPushes: 1})
+	if _, err := machine.New(p, d, machine.Config{}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	forged := *deep
+	forged.CC = append([]core.CCEntry(nil), deep.CC...)
+	found := false
+	for i := range forged.CC {
+		if forged.CC[i].Count > 0 {
+			forged.CC[i].Count = math.MaxUint32
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("capture has no compressed entry to forge")
+	}
+	snap, err := persist.Marshal(d.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	if _, err := srv.Register("rec", snap); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	fx := &serveFixture{ts: ts}
+
+	start := time.Now()
+	_, dr := fx.decode(t, "rec", []*core.Capture{&forged, deep})
+	if dr == nil {
+		t.Fatal("forged batch failed outright")
+	}
+	if e := dr.Results[0].Error; !strings.Contains(e, "exceeded") {
+		t.Errorf("forged count: error %q, want the decode step error", e)
+	}
+	if e := dr.Results[1].Error; e != "" {
+		t.Errorf("honest capture in the same batch: %s", e)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("forged count took %v to reject", el)
 	}
 }
 

@@ -22,11 +22,6 @@ func NewTable(header ...string) *Table {
 // table.
 func (t *Table) Row(cells ...string) { t.rows = append(t.rows, cells) }
 
-// Rowf appends a row of formatted values.
-func (t *Table) Rowf(format string, args ...any) {
-	t.rows = append(t.rows, strings.Split(fmt.Sprintf(format, args...), "\t"))
-}
-
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 

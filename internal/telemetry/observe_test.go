@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,6 +271,56 @@ func TestWatch(t *testing.T) {
 	if n := sink.Count(EvSLOBreach); n == 0 {
 		t.Error("no breach emitted by background watch")
 	}
+}
+
+// TestWatchStopWaitsForCheck: stop must not return while a Check is
+// in flight, and the breach that Check finds must be in the sink by the
+// time stop returns.
+func TestWatchStopWaitsForCheck(t *testing.T) {
+	var sink CountingSink
+	w := NewWatchdog(&sink)
+	w.SetCooldown(0)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock()
+	w.Add(SLORule{
+		Name: "blocked",
+		Source: func() int64 {
+			enterOnce.Do(func() {
+				close(entered)
+				<-release
+			})
+			return 2
+		},
+		Max: 1,
+	})
+	stop := w.Watch(time.Millisecond)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("watchdog ticker never checked")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("stop returned while a Check was still running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	unblock()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stop did not return after the Check finished")
+	}
+	if n := sink.Count(EvSLOBreach); n == 0 {
+		t.Error("the in-flight Check's breach is not in the sink when stop returns")
+	}
+	stop() // idempotent
 }
 
 // TestMetricsSinkLatencyHistograms: events carrying DurNanos feed the

@@ -133,14 +133,18 @@ func (w *Watchdog) Breaches() map[string]int64 {
 }
 
 // Watch runs Check every interval on a background goroutine until the
-// returned stop function is called (idempotent).
+// returned stop function is called. Stop waits for the goroutine to
+// exit, so no Check runs or emits after it returns, and it is
+// idempotent.
 func (w *Watchdog) Watch(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	done := make(chan struct{})
+	exited := make(chan struct{})
 	var once sync.Once
 	go func() {
+		defer close(exited)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -152,5 +156,8 @@ func (w *Watchdog) Watch(interval time.Duration) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() { close(done) })
+		<-exited
+	}
 }
