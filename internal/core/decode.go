@@ -61,7 +61,7 @@ type Decoder struct {
 // epoch indexes point into the graph, which must not be mutated
 // concurrently with this call.
 func NewDecoder(p *prog.Program, g *graph.Graph, dicts []*blenc.Assignment) *Decoder {
-	return &Decoder{P: p, idx: newDecodeIndexes(g, dicts)}
+	return &Decoder{P: p, idx: loadDecodeIndexes(g, dicts, false)}
 }
 
 // decodeScratch holds a thread's reusable decode buffers so the

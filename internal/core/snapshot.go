@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+
 	"dacce/internal/blenc"
 	"dacce/internal/graph"
 	"dacce/internal/prog"
@@ -74,7 +76,8 @@ func (s *encSnap) withTailLocked(fn prog.FuncID) *encSnap {
 // controller credits sample heat through it: OnSample finds each
 // decoded frame's edge among its target's entries. It is built once per
 // epoch — by the pass that opens the epoch, or from a snapshot by
-// Restore and NewDecoder — and immutable afterwards, so the decoder and
+// Restore and NewDecoder (loadDecodeIndexes) — and immutable afterwards,
+// so clean in-edge lists are shared between epochs, and the decoder and
 // the sampling controller can walk it lock-free while the live graph
 // keeps growing on other threads.
 //
@@ -124,24 +127,99 @@ func newDecodeIndex(g *graph.Graph, asn *blenc.Assignment, edges []*graph.Edge) 
 	return ix
 }
 
-// newDecodeIndexes builds one decode index per epoch dictionary, each
-// over the edges its dictionary covers. The final graph is a superset of
-// every epoch's edge set, so each index matches the one the live pass
-// built.
-func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex {
-	idx := make([]*decodeIndex, 0, len(dicts))
-	for _, asn := range dicts {
-		idx = append(idx, newDecodeIndex(g, asn, g.Edges[:len(asn.Codes)]))
+// loadDecodeIndexes builds the decode indexes of a loaded state's
+// dictionaries over g, the graph rebuilt from the same state: the first
+// epoch's from scratch, and each later one derived from its
+// predecessor's, so loading rebuilds only the in-edge lists each epoch
+// changed rather than epochs × edges entries. Epoch i lists the edges its dictionary covers,
+// g.Edges[:len(dicts[i].Codes)]; with listAll, the last epoch lists
+// every edge of g (Restore's current-epoch rule). The final graph is a
+// superset of every epoch's edge set, so each index equals the one the
+// live pass built, and newDecodeIndex over the same edges.
+func loadDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment, listAll bool) []*decodeIndex {
+	idx := make([]*decodeIndex, len(dicts))
+	dirty := newDirtyNodes(g)
+	prevListed := 0
+	for i, asn := range dicts {
+		listed := len(asn.Codes)
+		if listAll && i == len(dicts)-1 {
+			listed = len(g.Edges)
+		}
+		if i == 0 {
+			idx[i] = newDecodeIndex(g, asn, g.Edges[:listed])
+		} else {
+			dirty.diff(g, dicts[i-1], asn, prevListed, listed)
+			idx[i], _ = deriveDecodeIndex(g, idx[i-1], asn, listed, dirty.nodes)
+			dirty.reset()
+		}
+		prevListed = listed
 	}
 	return idx
 }
 
+// dirtyNodes is the set of functions whose in-edge lists a derived
+// index must rebuild, each listed once.
+type dirtyNodes struct {
+	mark  []bool // by Node.Seq
+	nodes []*graph.Node
+}
+
+func newDirtyNodes(g *graph.Graph) *dirtyNodes {
+	return &dirtyNodes{mark: make([]bool, len(g.NodeSeq))}
+}
+
+func (s *dirtyNodes) add(n *graph.Node) {
+	if n != nil && !s.mark[n.Seq] {
+		s.mark[n.Seq] = true
+		s.nodes = append(s.nodes, n)
+	}
+}
+
+// reset empties the set for the next derivation.
+func (s *dirtyNodes) reset() {
+	for _, n := range s.nodes {
+		s.mark[n.Seq] = false
+	}
+	s.nodes = s.nodes[:0]
+}
+
+// diff adds every function whose in-edge list differs between prev's
+// index, listing g.Edges[:prevListed], and asn's, listing
+// g.Edges[:listed]: the targets of edges only one of them lists, of
+// edges whose code changed, and of every out-edge asn lists from a node
+// whose numCC changed, because an entry's range [code, code+ncc) holds
+// its caller's numCC as well as its own code.
+func (s *dirtyNodes) diff(g *graph.Graph, prev, asn *blenc.Assignment, prevListed, listed int) {
+	lo, hi := min(prevListed, listed), max(prevListed, listed)
+	for _, e := range g.Edges[lo:hi] {
+		s.add(g.Node(e.Target))
+	}
+	for _, e := range g.Edges[:lo] {
+		was, _ := prev.CodeOf(e)
+		now, _ := asn.CodeOf(e)
+		if was != now {
+			s.add(g.Node(e.Target))
+		}
+	}
+	nodes := min(max(len(prev.NumCC), len(asn.NumCC)), len(g.NodeSeq))
+	for seq := 0; seq < nodes; seq++ {
+		n := g.NodeSeq[seq]
+		if prev.NumCCOf(n) == asn.NumCCOf(n) {
+			continue
+		}
+		for _, e := range n.Out {
+			if e.Seq() < listed {
+				s.add(g.Node(e.Target))
+			}
+		}
+	}
+}
+
 // deltaDecodeIndex derives the next epoch's decode index from the
 // previous one after an incremental Refresh, rebuilding in-edge lists
-// only for the functions the pass renumbered. It mirrors the
-// encSnap/compress copy-on-write idiom: the map header is copied (an
-// O(nodes) pointer copy, paid off-pause during the concurrent prepare),
-// but the in-edge lists of unaffected functions are shared with the
+// only for the functions the pass renumbered. The map header is copied
+// (an O(nodes) copy, paid off-pause during the concurrent prepare), but
+// the in-edge lists of unaffected functions are shared with the
 // previous epoch and no code or numCC is recomputed for them. Refresh's
 // changed set includes every edge registered since prev, so the result
 // lists prev's edges plus changed: every edge asn covers.
@@ -155,43 +233,48 @@ func newDecodeIndexes(g *graph.Graph, dicts []*blenc.Assignment) []*decodeIndex 
 // Returns the new index and how many encoded in-edge entries were
 // (re)built, for per-phase cost attribution.
 func deltaDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, changed []*graph.Edge, affected map[prog.FuncID]bool) (*decodeIndex, int) {
-	dirty := make(map[prog.FuncID]bool, len(affected)+len(changed))
+	dirty := newDirtyNodes(g)
 	for fn := range affected {
-		dirty[fn] = true
+		dirty.add(g.Node(fn))
 	}
 	for _, e := range changed {
-		dirty[e.Target] = true
+		dirty.add(g.Node(e.Target))
 	}
+	return deriveDecodeIndex(g, prev, asn, len(asn.Codes), dirty.nodes)
+}
 
-	ix := &decodeIndex{asn: asn, in: make(map[prog.FuncID][]inEdge, len(prev.in)+len(dirty))}
-	for fn, list := range prev.in {
-		if !dirty[fn] {
-			ix.in[fn] = list
-		}
-	}
+// deriveDecodeIndex is the one rebuild routine behind every index but
+// an epoch's first: it derives asn's index, listing g.Edges[:listed],
+// from prev, the previous epoch's. Every function outside dirty shares
+// prev's in-edge list; each dirty function's list is rebuilt from
+// Node.In. The caller guarantees that dirty holds every function whose
+// list differs from prev's. Returns the index and how many encoded
+// entries were rebuilt.
+func deriveDecodeIndex(g *graph.Graph, prev *decodeIndex, asn *blenc.Assignment, listed int, dirty []*graph.Node) (*decodeIndex, int) {
+	ix := &decodeIndex{asn: asn, in: maps.Clone(prev.in)}
 	rebuilt := 0
-	for fn := range dirty {
-		n := g.Node(fn)
-		if n == nil {
+	for _, n := range dirty {
+		// Node.In is in registration order, the g.Edges order filtered to
+		// this target, so its listed edges are a prefix of it and the
+		// rebuilt list matches what newDecodeIndex would produce entry
+		// for entry.
+		k := 0
+		for k < len(n.In) && n.In[k].Seq() < listed {
+			k++
+		}
+		if k == 0 {
+			delete(ix.in, n.Fn)
 			continue
 		}
-		// Node.In insertion order is the g.Edges registration order
-		// filtered to this target, so the rebuilt list matches what
-		// newDecodeIndex would produce entry for entry.
-		var list []inEdge
-		for _, e := range n.In {
-			code, ok := asn.CodeOf(e)
-			if !ok {
-				continue
-			}
-			list = append(list, newInEdge(g, asn, e, code))
+		list := make([]inEdge, k)
+		for i, e := range n.In[:k] {
+			code, _ := asn.CodeOf(e)
+			list[i] = newInEdge(g, asn, e, code)
 			if code.Encoded {
 				rebuilt++
 			}
 		}
-		if len(list) > 0 {
-			ix.in[fn] = list
-		}
+		ix.in[n.Fn] = list
 	}
 	return ix, rebuilt
 }
