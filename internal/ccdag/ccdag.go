@@ -5,9 +5,11 @@
 // prefix share its storage — memory grows with distinct prefixes, not
 // with samples decoded. The shape follows the cactus DynamicContext
 // idiom (an interned (callSite, pred*) set with O(1) push), adapted to
-// concurrent interning: the intern table is sharded, reads are
-// lock-free (atomic loads over immutable chain entries), and only an
-// actual insertion takes its shard's mutex.
+// concurrent interning: the intern table is sharded, each shard is one
+// open-addressed slot array probed linearly, reads are lock-free
+// (atomic loads over slots that, while their array is published, only
+// ever go from nil to a node), and only an actual insertion takes its
+// shard's mutex.
 //
 // Node payloads (site, fn, pred, depth, id, hash) are immutable, and
 // any *Node handed out stays valid memory forever (the garbage
@@ -26,6 +28,7 @@ package ccdag
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dacce/internal/prog"
 )
@@ -88,20 +91,17 @@ func (n *Node) Depth() int { return int(n.depth) }
 // wire formats that cannot carry pointers.
 func (n *Node) ID() uint64 { return n.id }
 
-// entry is one immutable intern-chain link. Entries are never modified
-// after publication: an insert prepends a fresh entry to its bucket
-// head, and a table growth builds entirely new entries — so a reader
-// that loaded any table may walk any chain without synchronization.
-type entry struct {
-	node *Node
-	next *entry
-}
-
-// table is one shard's bucket array, published atomically so the read
-// path never locks. len(buckets) is a power of two.
+// table is one shard's open-addressed slot array, published atomically
+// so the read path never locks. len(slots) is a power of two and the
+// array is never more than maxLoadNum/maxLoadDen full, so every probe
+// reaches a nil slot. While a table is published its slots only ever go
+// from nil to a node: insertion fills the first nil slot of the probe
+// sequence, and removal (Collect) or growth publishes a rebuilt array —
+// so a reader that loaded any table may probe it without
+// synchronization beyond the slot loads.
 type table struct {
-	mask    uint64
-	buckets []atomic.Pointer[entry]
+	mask  uint64
+	slots []atomic.Pointer[Node]
 }
 
 // shard is one stripe of the intern table. The mutex serializes
@@ -121,11 +121,39 @@ type shard struct {
 const (
 	// shardCount stripes the intern table; must be a power of two.
 	shardCount = 128
-	// initialBuckets is each shard's starting bucket count.
-	initialBuckets = 64
-	// loadFactor is the mean chain length that triggers a growth.
-	loadFactor = 2
+	// initialSlots is each shard's starting slot count.
+	initialSlots = 64
+	// An insert that would fill a table past maxLoadNum/maxLoadDen
+	// grows it first; Collect rebuilds a shard at most half full.
+	maxLoadNum, maxLoadDen = 3, 4
 )
+
+// newTable returns an empty table of n slots (a power of two).
+func newTable(n uint64) *table {
+	return &table{mask: n - 1, slots: make([]atomic.Pointer[Node], n)}
+}
+
+// home is the first slot of h's probe sequence, drawn from the hash's
+// high half so it stays independent of the shard index (the low bits).
+func (t *table) home(h uint64) uint64 { return (h >> 32) & t.mask }
+
+// full reports whether holding n nodes would fill t past the load
+// limit.
+func (t *table) full(n int64) bool {
+	return uint64(n)*maxLoadDen > uint64(len(t.slots))*maxLoadNum
+}
+
+// insert stores n in the first nil slot of its probe sequence. Caller
+// holds the shard lock and has checked that n is absent and that the
+// table has room.
+func (t *table) insert(n *Node) {
+	for i := t.home(n.hash); ; i = (i + 1) & t.mask {
+		if t.slots[i].Load() == nil {
+			t.slots[i].Store(n)
+			return
+		}
+	}
+}
 
 // DAG is a hash-consed calling-context DAG. Create with New; all
 // methods are safe for concurrent use.
@@ -152,16 +180,12 @@ type DAG struct {
 func New() *DAG {
 	d := &DAG{}
 	for i := range d.shards {
-		t := &table{
-			mask:    initialBuckets - 1,
-			buckets: make([]atomic.Pointer[entry], initialBuckets),
-		}
-		d.shards[i].table.Store(t)
+		d.shards[i].table.Store(newTable(initialSlots))
 	}
 	return d
 }
 
-// mix is a splitmix64-style finalizer, strong enough that bucket and
+// mix is a splitmix64-style finalizer, strong enough that slot and
 // shard indexes drawn from different bit ranges stay independent.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
@@ -187,11 +211,13 @@ func (d *DAG) Root(fn prog.FuncID) *Node { return d.Intern(nil, prog.NoSite, fn)
 
 // Intern returns the canonical node for pred extended by one frame
 // (site, fn), creating it if this exact context has never been seen.
-// pred must itself be canonical — returned by an Intern call of the
-// same walk (walks stamp frames root-first, which the collector's
-// liveness invariant relies on) — or nil for a root frame. The steady
-// hit path is lock-free and allocation-free: one generation load on top
-// of the chain walk.
+// pred must be nil for a root frame, or canonical and stamped with the
+// current generation: returned by an Intern call of the same walk, or
+// by one of an earlier walk while the caller has kept the generation
+// from moving since (walks stamp frames root-first, which the
+// collector's liveness invariant relies on). The steady hit path is
+// lock-free and allocation-free: one generation load on top of the
+// probe.
 func (d *DAG) Intern(pred *Node, site prog.SiteID, fn prog.FuncID) *Node {
 	h := nodeHash(pred, site, fn)
 	sh := &d.shards[h&(shardCount-1)]
@@ -218,19 +244,19 @@ func (d *DAG) Intern(pred *Node, site prog.SiteID, fn prog.FuncID) *Node {
 	return sh.intern(d, g, h, pred, site, fn, nil)
 }
 
-// lookup walks the bucket chain for (pred, site, fn). Lock-free: the
-// table pointer, the bucket heads and the chain entries are all
-// immutable or atomically published.
+// lookup probes t for (pred, site, fn), comparing each resident node's
+// cached hash before its fields. Lock-free: the table pointer and the
+// slots are atomically published, and the nodes are immutable.
 func lookup(t *table, h uint64, pred *Node, site prog.SiteID, fn prog.FuncID) *Node {
-	// Bucket index from the high half so it stays independent of the
-	// shard index drawn from the low bits.
-	for e := t.buckets[(h>>32)&t.mask].Load(); e != nil; e = e.next {
-		n := e.node
-		if n.pred == pred && n.site == site && n.fn == fn {
+	for i := t.home(h); ; i = (i + 1) & t.mask {
+		n := t.slots[i].Load()
+		if n == nil {
+			return nil
+		}
+		if n.hash == h && n.pred == pred && n.site == site && n.fn == fn {
 			return n
 		}
 	}
-	return nil
 }
 
 // intern is the slow path: re-check under the shard lock (the node may
@@ -268,27 +294,28 @@ func (sh *shard) intern(d *DAG, g, h uint64, pred *Node, site prog.SiteID, fn pr
 		n.gen.Store(g)
 		sh.misses.Add(1)
 	}
-	if sh.count+1 > loadFactor*int64(len(t.buckets)) {
-		t = sh.grow(t)
-	}
-	b := &t.buckets[(h>>32)&t.mask]
-	b.Store(&entry{node: n, next: b.Load()})
-	sh.count++
+	sh.add(t, n)
 	return n
 }
 
-// grow doubles the shard's bucket array, rehashing every chain into
-// fresh entries, and publishes the new table. Concurrent readers keep
-// walking the old (complete, immutable) table until they reload.
-func (sh *shard) grow(old *table) *table {
-	nt := &table{
-		mask:    uint64(len(old.buckets))*2 - 1,
-		buckets: make([]atomic.Pointer[entry], len(old.buckets)*2),
+// add inserts n into t, the shard's current table, growing it first
+// when n would fill it past the load limit. Caller holds sh.mu.
+func (sh *shard) add(t *table, n *Node) {
+	if t.full(sh.count + 1) {
+		t = sh.grow(t)
 	}
-	for i := range old.buckets {
-		for e := old.buckets[i].Load(); e != nil; e = e.next {
-			b := &nt.buckets[(e.node.hash>>32)&nt.mask]
-			b.Store(&entry{node: e.node, next: b.Load()})
+	t.insert(n)
+	sh.count++
+}
+
+// grow doubles the shard's slot array, reinserting every node, and
+// publishes the new table. Concurrent readers keep probing the old
+// (complete, no longer written) table until they reload.
+func (sh *shard) grow(old *table) *table {
+	nt := newTable(uint64(len(old.slots)) * 2)
+	for i := range old.slots {
+		if n := old.slots[i].Load(); n != nil {
+			nt.insert(n)
 		}
 	}
 	sh.table.Store(nt)
@@ -305,9 +332,9 @@ type Stats struct {
 	// rate of the decode stream.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// BytesEstimate approximates the DAG's resident size: nodes, chain
-	// entries and bucket arrays. Post-collection it reflects the
-	// compacted table, not the historical peak.
+	// BytesEstimate approximates the DAG's resident size: nodes and
+	// slot arrays. Post-collection it reflects the compacted table, not
+	// the historical peak.
 	BytesEstimate int64 `json:"bytes_estimate"`
 	// Collections and Collected count completed Collect passes and the
 	// total nodes they reclaimed.
@@ -323,13 +350,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// nodeBytes and entryBytes approximate the allocator footprint of one
-// interned node and its chain entry (object header-less Go sizes,
-// rounded up to size classes).
-const (
-	nodeBytes  = 56
-	entryBytes = 16
-)
+// nodeBytes is the allocator footprint of one interned node: Node's
+// size (48 bytes, a size class of its own; nodes carry no header).
+const nodeBytes = int64(unsafe.Sizeof(Node{}))
 
 // Stats returns the DAG's current counters. Safe to call concurrently
 // with interning; the counters are a consistent-enough snapshot for
@@ -345,10 +368,10 @@ func (d *DAG) Stats() Stats {
 		s.Misses += sh.misses.Load()
 		sh.mu.Lock()
 		n := sh.count
-		buckets := int64(len(sh.table.Load().buckets))
+		slots := int64(len(sh.table.Load().slots))
 		sh.mu.Unlock()
 		s.Nodes += n
-		s.BytesEstimate += n*(nodeBytes+entryBytes) + buckets*8
+		s.BytesEstimate += n*nodeBytes + slots*8
 	}
 	return s
 }

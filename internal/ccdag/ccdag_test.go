@@ -261,3 +261,40 @@ func BenchmarkPointerEqualVsWalk(b *testing.B) {
 		_ = eq
 	})
 }
+
+// BenchmarkInternCold prices Intern on a table far larger than the CPU
+// caches: 1M distinct nodes (4,096 roots with 256 children each), hits
+// looked up in shuffled order so consecutive probes share no cache
+// lines, and misses that each create a node.
+func BenchmarkInternCold(b *testing.B) {
+	const roots, fanout = 4096, 256
+	d := New()
+	nodes := make([]*Node, 0, roots*fanout)
+	for r := range roots {
+		root := d.Root(prog.FuncID(r))
+		for i := range fanout {
+			nodes = append(nodes, d.Intern(root, prog.SiteID(i), prog.FuncID(r+i)))
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := nodes[i%len(nodes)]
+			if d.Intern(n.pred, n.site, n.fn) != n {
+				b.Fatal("hit resolved to another node")
+			}
+		}
+	})
+	// Sites from fanout up have never been interned, and each is used
+	// once across every run of the miss benchmark.
+	fresh := fanout
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n := nodes[i%len(nodes)]
+			d.Intern(n.pred, prog.SiteID(fresh), n.fn)
+			fresh++
+		}
+	})
+}

@@ -10,9 +10,12 @@
 //
 //  1. Walks stamp root-first. internRev/internContext/decodeNode call
 //     Intern once per frame from the root down, so a node's stamp is
-//     never newer than its predecessor chain's. The mark phase can
-//     therefore stop raising a chain at the first node already at the
-//     floor.
+//     never newer than its predecessor chain's. A walk may instead
+//     start from a pred an earlier walk returned (a decode cursor's
+//     shared root prefix), provided the generation has not moved since:
+//     that pred chain already carries the current stamp, so reusing it
+//     is equivalent to interning it again. The mark phase can therefore
+//     stop raising a chain at the first node already at the floor.
 //  2. Readers re-check the table after every hit. A reader that
 //     observes its shard's table unchanged is ordered before the
 //     sweep's publish, so the stamp it saw or wrote is visible to the
@@ -28,8 +31,6 @@
 //     against in-flight decodes. So no walk ever carries a stamp below
 //     a concurrent Collect's floor.
 package ccdag
-
-import "sync/atomic"
 
 // CollectStats reports one Collect pass.
 type CollectStats struct {
@@ -96,12 +97,13 @@ func (d *DAG) Collected() int64 { return d.collected.Load() }
 // live).
 //
 // Interning proceeds lock-free and concurrently throughout: survivors
-// keep their pointer identity (the same *Node is rethreaded into the
-// new bucket chains), each shard's swap is one atomic table publish,
-// and nodes stamped mid-sweep by racing interns are re-inserted by the
-// rescue pass below or by the racing reader itself. Dropped nodes
-// remain valid memory for any holder but lose canonicality: a later
-// decode of the same context interns a fresh node.
+// keep their pointer identity (the same *Node is reinserted into the
+// shard's rebuilt slot array), each shard's swap is one atomic table
+// publish, and nodes stamped mid-sweep by racing interns are
+// re-inserted by the rescue pass below or by the racing reader itself.
+// Dropped nodes remain valid memory for any holder but lose
+// canonicality: a later decode of the same context interns a fresh
+// node.
 func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 	d.collectMu.Lock()
 	defer d.collectMu.Unlock()
@@ -137,11 +139,9 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 	}
 	for i := range d.shards {
 		t := d.shards[i].table.Load()
-		for b := range t.buckets {
-			for e := t.buckets[b].Load(); e != nil; e = e.next {
-				if e.node.gen.Load() >= minGen {
-					mark(e.node.pred)
-				}
+		for j := range t.slots {
+			if n := t.slots[j].Load(); n != nil && n.gen.Load() >= minGen {
+				mark(n.pred)
 			}
 		}
 	}
@@ -149,10 +149,10 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 		pin(mark)
 	}
 
-	// Sweep: per shard, under its writer lock, rebuild the bucket array
+	// Sweep: per shard, under its writer lock, rebuild the slot array
 	// with only the nodes at or above the floor — survivors keep their
-	// identity — and publish it in one atomic swap. Readers keep walking
-	// the old (complete, immutable) table until they reload.
+	// identity — at most half full, and publish it in one atomic swap.
+	// Readers keep probing the old (complete) table until they reload.
 	var (
 		dropped []*Node
 		keep    []*Node
@@ -162,20 +162,19 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 		sh.mu.Lock()
 		t := sh.table.Load()
 		keep, dropped = keep[:0], dropped[:0]
-		for b := range t.buckets {
-			for e := t.buckets[b].Load(); e != nil; e = e.next {
-				if e.node.gen.Load() >= minGen {
-					keep = append(keep, e.node)
-				} else {
-					dropped = append(dropped, e.node)
-				}
+		for j := range t.slots {
+			n := t.slots[j].Load()
+			switch {
+			case n == nil:
+			case n.gen.Load() >= minGen:
+				keep = append(keep, n)
+			default:
+				dropped = append(dropped, n)
 			}
 		}
-		nt := &table{mask: bucketsFor(int64(len(keep))) - 1}
-		nt.buckets = make([]atomic.Pointer[entry], nt.mask+1)
+		nt := newTable(slotsFor(int64(len(keep))))
 		for _, n := range keep {
-			b := &nt.buckets[(n.hash>>32)&nt.mask]
-			b.Store(&entry{node: n, next: b.Load()})
+			nt.insert(n)
 		}
 		sh.table.Store(nt)
 		sh.count = int64(len(keep))
@@ -192,12 +191,7 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 				st.Freed++
 				continue
 			}
-			if sh.count+1 > loadFactor*int64(len(nt.buckets)) {
-				nt = sh.grow(nt)
-			}
-			b := &nt.buckets[(n.hash>>32)&nt.mask]
-			b.Store(&entry{node: n, next: b.Load()})
-			sh.count++
+			sh.add(sh.table.Load(), n)
 			st.Rescued++
 		}
 		sh.mu.Unlock()
@@ -208,12 +202,12 @@ func (d *DAG) Collect(minGen uint64, pin func(mark func(*Node))) CollectStats {
 	return st
 }
 
-// bucketsFor sizes a shard's bucket array (a power of two, at least
-// initialBuckets) so n nodes sit at or below the load factor.
-func bucketsFor(n int64) uint64 {
-	b := uint64(initialBuckets)
-	for int64(b)*loadFactor < n {
-		b <<= 1
+// slotsFor sizes a rebuilt shard's slot array: the smallest power of
+// two, at least initialSlots, that n nodes fill at most half.
+func slotsFor(n int64) uint64 {
+	s := uint64(initialSlots)
+	for int64(s) < 2*n {
+		s <<= 1
 	}
-	return b
+	return s
 }

@@ -202,32 +202,51 @@ func TestCollectConcurrentIdentity(t *testing.T) {
 	}
 }
 
-// checkTable walks every shard and verifies each resident node hashes
-// into the bucket it sits in, its pred is resident whenever the node
-// is (canonical chains stay closed under pred), and Len matches the
-// resident count.
+// checkTable walks every shard and verifies each resident node is
+// found by its own probe (no nil slot breaks its probe sequence before
+// it, and no equal node sits earlier), sits in the shard its hash
+// selects, and has its pred resident whenever it is (canonical chains
+// stay closed under pred); the table stays within its load limit, and
+// Len matches the resident count.
 func checkTable(d *DAG) error {
 	resident := map[*Node]bool{}
 	var count int64
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
-		t := sh.table.Load()
-		for b := range t.buckets {
-			for e := t.buckets[b].Load(); e != nil; e = e.next {
-				if uint64(b) != (e.node.hash>>32)&t.mask {
-					sh.mu.Unlock()
-					return fmt.Errorf("node %p in bucket %d, hash says %d", e.node, b, (e.node.hash>>32)&t.mask)
+		err := func() error {
+			t := sh.table.Load()
+			var inShard int64
+			for j := range t.slots {
+				n := t.slots[j].Load()
+				if n == nil {
+					continue
 				}
-				if resident[e.node] {
-					sh.mu.Unlock()
-					return fmt.Errorf("node %p resident twice", e.node)
+				if n.hash&(shardCount-1) != uint64(i) {
+					return fmt.Errorf("node %p in shard %d, hash says %d", n, i, n.hash&(shardCount-1))
 				}
-				resident[e.node] = true
-				count++
+				if got := lookup(t, n.hash, n.pred, n.site, n.fn); got != n {
+					return fmt.Errorf("node %p in slot %d not found by its own probe from slot %d (got %p)", n, j, t.home(n.hash), got)
+				}
+				if resident[n] {
+					return fmt.Errorf("node %p resident twice", n)
+				}
+				resident[n] = true
+				inShard++
 			}
-		}
+			if inShard != sh.count {
+				return fmt.Errorf("shard %d holds %d nodes, count says %d", i, inShard, sh.count)
+			}
+			if t.full(inShard) {
+				return fmt.Errorf("shard %d holds %d nodes in %d slots, past the load limit", i, inShard, len(t.slots))
+			}
+			count += inShard
+			return nil
+		}()
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
 	if got := d.Len(); got != count {
 		return fmt.Errorf("Len() = %d, resident count = %d", got, count)
@@ -260,4 +279,79 @@ func TestCollectChurn(t *testing.T) {
 	if err := checkTable(d); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestProbeClusterSharedHome fills one shard with nodes that all carry
+// the same hash, so they share one home slot in every table size and
+// form one probe cluster, then checks growth, Collect's rebuild and a
+// reader-side rescue against that worst case.
+func TestProbeClusterSharedHome(t *testing.T) {
+	d := New()
+	const h = 0x2468_ace0_0000_0000 // shard 0
+	sh := &d.shards[h&(shardCount-1)]
+	intern := func(i int, rescue *Node) *Node {
+		return sh.intern(d, d.Gen(), h, nil, prog.SiteID(i), prog.FuncID(i), rescue)
+	}
+	find := func(n *Node) *Node { return lookup(sh.table.Load(), h, nil, n.site, n.fn) }
+	// cluster checks the shard's table: its size, and that the resident
+	// nodes fill one run of slots from the shared home, in probe order.
+	cluster := func(stage string, slots, resident int) {
+		t.Helper()
+		tb := sh.table.Load()
+		if len(tb.slots) != slots {
+			t.Fatalf("%s: %d slots, want %d", stage, len(tb.slots), slots)
+		}
+		for i := range resident + 1 {
+			if occupied := tb.slots[(tb.home(h)+uint64(i))&tb.mask].Load() != nil; occupied != (i < resident) {
+				t.Fatalf("%s: slot %d occupied=%v, want a run of %d from home", stage, i, occupied, resident)
+			}
+		}
+		if err := checkTable(d); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+
+	// 200 nodes pass the 3/4 load limit of 64, 128 and 256 slots.
+	const total = 200
+	nodes := make([]*Node, total)
+	for i := range nodes {
+		nodes[i] = intern(i, nil)
+		if again := intern(i, nil); again != nodes[i] {
+			t.Fatalf("node %d interned twice: %p vs %p", i, again, nodes[i])
+		}
+	}
+	cluster("after growth", 512, total)
+	for i, n := range nodes {
+		if find(n) != n {
+			t.Fatalf("node %d lost after growth", i)
+		}
+	}
+
+	// Re-stamp the even nodes in a new generation; Collect drops the odd
+	// ones and rebuilds the shard at most half full.
+	d.AdvanceGen()
+	for i := 0; i < total; i += 2 {
+		intern(i, nil)
+	}
+	st := d.Collect(d.Gen(), nil)
+	if st.Freed != total/2 || st.Rescued != 0 {
+		t.Fatalf("Collect = %+v, want %d freed, 0 rescued", st, total/2)
+	}
+	cluster("after collect", 256, total/2)
+	for i, n := range nodes {
+		if got := find(n); (got == n) != (i%2 == 0) {
+			t.Fatalf("node %d after collect: found %p, kept=%v", i, got, i%2 == 0)
+		}
+	}
+
+	// A reader that stamped a dropped node re-inserts that very node: it
+	// lands at the end of the cluster and stays canonical.
+	odd := nodes[1]
+	if got := intern(1, odd); got != odd {
+		t.Fatalf("rescue returned %p, want the dropped node %p", got, odd)
+	}
+	if find(odd) != odd || intern(1, nil) != odd {
+		t.Fatal("rescued node not canonical")
+	}
+	cluster("after rescue", 256, total/2+1)
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dacce/internal/ccdag"
 	"dacce/internal/machine"
@@ -38,6 +39,72 @@ func putNodeScratch(s *decodeScratch) {
 	}
 }
 
+// NodeCursor carries the interned path of the last context decoded
+// through it to the next decode, so a run of contexts that share root
+// prefixes interns each shared frame once: it holds that context's
+// root-first frames and, for each depth, the node interned for the
+// frames up to it. DecodeNodeCursor compares a capture's frames with
+// the cursor's, root first, and interns only the frames past the common
+// prefix, on top of the node at its end.
+//
+// The cursor's nodes stay canonical only while no Collect runs on the
+// DAG: its caller must keep the generation from moving between Reset
+// and the last decode through the cursor (dacced holds its tenant's
+// retirement read-lock across one batch) and Reset the cursor before
+// reusing it after any collection may have run. The zero value is an
+// empty cursor.
+type NodeCursor struct {
+	frames []ContextFrame
+	nodes  []*ccdag.Node // nodes[i] is the interned form of frames[:i+1]
+	// reused counts the frames taken from the cursor instead of interned
+	// since the last Reset.
+	reused int64
+}
+
+// Reset empties the cursor and its reuse count, and clears every node
+// pointer in its backing array, so a retained cursor pins no node.
+func (cur *NodeCursor) Reset() {
+	clear(cur.nodes)
+	cur.frames, cur.nodes, cur.reused = cur.frames[:0], cur.nodes[:0], 0
+}
+
+// Reused returns how many frames decodes through the cursor took from
+// it instead of interning them, since the last Reset.
+func (cur *NodeCursor) Reused() int64 { return cur.reused }
+
+// Bytes returns the cursor's buffer footprint, for callers that bound
+// what they retain.
+func (cur *NodeCursor) Bytes() int {
+	return cap(cur.frames)*int(unsafe.Sizeof(ContextFrame{})) + cap(cur.nodes)*int(unsafe.Sizeof((*ccdag.Node)(nil)))
+}
+
+// push interns the deepest-first frames rev, reusing the nodes of the
+// longest root prefix rev shares with the cursor's frames, records
+// rev's path in the cursor and returns its leaf. The node pointers past
+// the shared prefix are cleared before they are overwritten, so the
+// backing array never holds a node of a path the cursor no longer
+// describes.
+func (cur *NodeCursor) push(dag *ccdag.DAG, rev []ContextFrame) *ccdag.Node {
+	n := len(rev)
+	k := 0
+	for k < n && k < len(cur.frames) && cur.frames[k] == rev[n-1-k] {
+		k++
+	}
+	cur.reused += int64(k)
+	var pred *ccdag.Node
+	if k > 0 {
+		pred = cur.nodes[k-1]
+	}
+	clear(cur.nodes[k:])
+	cur.frames, cur.nodes = cur.frames[:k], cur.nodes[:k]
+	for i := n - 1 - k; i >= 0; i-- {
+		pred = dag.Intern(pred, rev[i].Site, rev[i].Fn)
+		cur.frames = append(cur.frames, rev[i])
+		cur.nodes = append(cur.nodes, pred)
+	}
+	return pred
+}
+
 // DAG returns the encoder's context DAG — the intern table every
 // DecodeNode result lives in. Nodes stay canonical at least as long as
 // their capture's epoch is at or above the encoder's low-water epoch;
@@ -57,7 +124,7 @@ func (d *DACCE) DecodeNode(c *Capture) (*ccdag.Node, error) {
 	snap := d.cur()
 	dec := &Decoder{P: d.p, idx: snap.idx}
 	scratch := nodeScratchPool.Get().(*decodeScratch)
-	n, err := dec.decodeNode(d.dag, c, scratch)
+	n, err := dec.decodeNode(d.dag, c, scratch, nil)
 	putNodeScratch(scratch)
 	dur := time.Since(start).Nanoseconds()
 	d.decodeHist.Observe(dur)
@@ -97,25 +164,40 @@ func (d *DACCE) DecodeCaptureNode(capture any) (*ccdag.Node, error) {
 
 // DecodeNode decodes a capture through an external Decoder (a
 // rehydrated snapshot, say) into dag. Each decoder client owns its DAG;
-// nodes from different DAGs are never comparable.
+// nodes from different DAGs are never comparable. It is
+// DecodeNodeCursor without a cursor: every frame is interned.
 func (dec *Decoder) DecodeNode(dag *ccdag.DAG, c *Capture) (*ccdag.Node, error) {
+	return dec.DecodeNodeCursor(dag, c, nil)
+}
+
+// DecodeNodeCursor is DecodeNode for a run of decodes into one DAG: it
+// interns only the frames past the root prefix the capture shares with
+// the last context decoded through cur, and leaves the capture's path
+// in cur. The result is the node DecodeNode returns, provided the
+// caller keeps NodeCursor's contract. A capture that fails to decode
+// leaves cur as it was, and one with a spawn chain neither reads nor
+// changes it. A nil cur interns every frame and records nothing.
+func (dec *Decoder) DecodeNodeCursor(dag *ccdag.DAG, c *Capture, cur *NodeCursor) (*ccdag.Node, error) {
 	scratch := nodeScratchPool.Get().(*decodeScratch)
-	n, err := dec.decodeNode(dag, c, scratch)
+	n, err := dec.decodeNode(dag, c, scratch, cur)
 	putNodeScratch(scratch)
 	return n, err
 }
 
 // decodeNode runs the reverse walk of decodeOneRev and interns the
 // frames root-first directly off the scratch buffer — no slice is
-// materialized, no frame is copied out. The spawn prefix is decoded
-// (and interned) first, sequentially on the same scratch: its frames
-// are already safe in the DAG before the body walk reuses the buffers,
-// which is what keeps the whole path — spawn included — allocation-free
-// once the DAG is warm.
-func (dec *Decoder) decodeNode(dag *ccdag.DAG, c *Capture, scratch *decodeScratch) (*ccdag.Node, error) {
+// materialized, no frame is copied out — through cur, when given,
+// which supplies the nodes of the shared root prefix. The spawn prefix
+// is decoded (and interned) first, without the cursor, sequentially on
+// the same scratch: its frames are already safe in the DAG before the
+// body walk reuses the buffers, which is what keeps the whole path —
+// spawn included — allocation-free once the DAG is warm. A spawned
+// body sits on its spawn prefix, not on a root, so the cursor cannot
+// describe it: it is interned frame by frame on top of the prefix.
+func (dec *Decoder) decodeNode(dag *ccdag.DAG, c *Capture, scratch *decodeScratch, cur *NodeCursor) (*ccdag.Node, error) {
 	var pred *ccdag.Node
 	if c.Spawn != nil {
-		p, err := dec.decodeNode(dag, c.Spawn, scratch)
+		p, err := dec.decodeNode(dag, c.Spawn, scratch, nil)
 		if err != nil {
 			return nil, fmt.Errorf("decoding spawn path: %w", err)
 		}
@@ -125,7 +207,10 @@ func (dec *Decoder) decodeNode(dag *ccdag.DAG, c *Capture, scratch *decodeScratc
 	if err != nil {
 		return nil, err
 	}
-	return internRev(dag, pred, rev), nil
+	if cur == nil || pred != nil {
+		return internRev(dag, pred, rev), nil
+	}
+	return cur.push(dag, rev), nil
 }
 
 // internRev interns a deepest-first frame slice on top of pred,

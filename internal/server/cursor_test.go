@@ -1,0 +1,241 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"dacce/internal/ccdag"
+	"dacce/internal/core"
+	"dacce/internal/machine"
+	"dacce/internal/persist"
+	"dacce/internal/workload"
+)
+
+// maxEpochOf returns the highest capture epoch in caps.
+func maxEpochOf(caps []*core.Capture) uint32 {
+	var e uint32
+	for _, c := range caps {
+		e = max(e, c.Epoch)
+	}
+	return e
+}
+
+// TestCursorBatchAfterRetirement decodes a batch, retires every epoch,
+// which sweeps every node the batch interned, and decodes the same
+// batch again through the same wire buffer, never released in between.
+// The second batch's nodes must be the canonical ones — a fresh Intern
+// walk over each one's frames returns the same pointer — so the cursor
+// must not carry the first batch's swept nodes across the retirement.
+func TestCursorBatchAfterRetirement(t *testing.T) {
+	f := newServeFixture(t, Config{}, 30_000, 29)
+	tn := f.srv.resolve("serve")
+	var batch []*core.Capture
+	for _, c := range f.captures {
+		if memoizable(c) && len(batch) < 512 {
+			batch = append(batch, c)
+		}
+	}
+	wb := new(wireBuf)
+	f.srv.decodeBatch(tn, wb, batch, 0)
+	if wb.cur.Reused() == 0 {
+		t.Fatal("the batch reused no frame from its cursor")
+	}
+	if _, st := tn.retireEpoch(maxEpochOf(batch)); st.Freed == 0 {
+		t.Fatalf("retirement freed nothing: %+v", st)
+	}
+	f.srv.decodeBatch(tn, wb, batch, 0)
+	var key []byte
+	for i, c := range batch {
+		key = appendMemoKey(key[:0], c)
+		n := tn.memo[c.Epoch][string(key)]
+		if n == nil {
+			t.Fatalf("capture %d: no memo entry after the second batch", i)
+		}
+		var fresh *ccdag.Node
+		for _, fr := range core.NodeContext(n) {
+			fresh = tn.dag.Intern(fresh, fr.Site, fr.Fn)
+		}
+		if fresh != n {
+			t.Fatalf("capture %d: decoded node %d is not canonical (a fresh walk gives %d)", i, n.ID(), fresh.ID())
+		}
+	}
+}
+
+// TestRetireRacingDecodesKeepsProfile runs decode requests on several
+// goroutines while another retires every epoch over and over. The
+// profiler folds before a retirement takes the write lock, so nodes
+// observed in between stay keyed until the next fold: no count may be
+// lost (the profile's total equals the captures decoded), and once the
+// decodes stop, a last retirement must still collect every node.
+func TestRetireRacingDecodesKeepsProfile(t *testing.T) {
+	f := newServeFixture(t, Config{}, 30_000, 29)
+	tn := f.srv.resolve("serve")
+	h := f.srv.Handler()
+	maxEpoch := maxEpochOf(f.captures)
+	var bodies [][]byte
+	for lo := 0; lo < len(f.captures); lo += 128 {
+		body, err := json.Marshal(DecodeRequest{Tenant: "serve", Captures: f.captures[lo:min(lo+128, len(f.captures))]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	const workers, rounds = 3, 4
+	var (
+		decoders, retirer sync.WaitGroup
+		stop              atomic.Bool
+		retirements       atomic.Int64
+	)
+	retirer.Add(1)
+	go func() {
+		defer retirer.Done()
+		for !stop.Load() {
+			if _, err := f.srv.RetireEpoch("serve", maxEpoch); err != nil {
+				t.Error(err)
+				return
+			}
+			retirements.Add(1)
+		}
+	}()
+	for w := range workers {
+		decoders.Add(1)
+		go func() {
+			defer decoders.Done()
+			for r := range rounds {
+				for b := w; b < len(bodies); b += workers {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decode", bytes.NewReader(bodies[b])))
+					if rec.Code != http.StatusOK {
+						t.Errorf("worker %d round %d batch %d: HTTP %d", w, r, b, rec.Code)
+						return
+					}
+				}
+			}
+		}()
+	}
+	decoders.Wait()
+	stop.Store(true)
+	retirer.Wait()
+	if t.Failed() {
+		return
+	}
+	want := int64(rounds * len(f.captures))
+	if got := tn.decoded.Load(); got != want || tn.errors.Load() != 0 {
+		t.Fatalf("decoded %d captures with %d errors, want %d and 0", got, tn.errors.Load(), want)
+	}
+	if total := tn.prof.Total(); total != want {
+		t.Fatalf("profile total %d after %d racing retirements, want %d decodes", total, retirements.Load(), want)
+	}
+	if _, st := tn.retireEpoch(maxEpoch); tn.dag.Len() != 0 {
+		t.Fatalf("%d nodes resident after retiring every epoch (%+v)", tn.dag.Len(), st)
+	}
+	if tn.dag.Collected() == 0 {
+		t.Fatal("no retirement collected a node")
+	}
+	t.Logf("%d retirements raced %d decodes", retirements.Load(), want)
+}
+
+// TestWireBufCursorBounded: the decode cursor's buffers count toward
+// the footprint release checks against maxPooledBytes, and reset
+// empties the cursor.
+func TestWireBufCursorBounded(t *testing.T) {
+	f := newServeFixture(t, Config{}, 30_000, 29)
+	tn := f.srv.resolve("serve")
+	wb := new(wireBuf)
+	for _, c := range f.captures[:64] {
+		if _, err := tn.dec.DecodeNodeCursor(tn.dag, c, &wb.cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := wb.footprint(), wb.cur.Bytes(); want == 0 || got != want {
+		t.Fatalf("footprint %d of a buffer holding only a cursor of %d bytes", got, want)
+	}
+	wb.reset()
+	if _, err := tn.dec.DecodeNodeCursor(tn.dag, f.captures[63], &wb.cur); err != nil {
+		t.Fatal(err)
+	}
+	if wb.cur.Reused() != 0 {
+		t.Fatal("reset left the cursor's path in place")
+	}
+}
+
+// BenchmarkDecodeChurn replays serve-churn's write path in process: a
+// cold 483.xalancbmk stream cut into 512-capture /v1/decode bodies,
+// sent in stream order through Handler().ServeHTTP, with the epochs the
+// stream has left retired before each batch and every epoch retired
+// before each pass. One op is one pass over the stream; ns/capture is
+// the op's time per capture.
+func BenchmarkDecodeChurn(b *testing.B) {
+	pr, ok := workload.ByName("483.xalancbmk")
+	if !ok {
+		b.Fatal("no 483.xalancbmk profile")
+	}
+	pr.Threads, pr.TotalCalls = 1, 300_000
+	w, err := workload.Build(pr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := core.New(w.P, core.Options{})
+	rs, err := w.NewMachine(d, machine.Config{SampleEvery: 16}).Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := persist.Marshal(d.ExportState())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := New(Config{})
+	if _, err := srv.Register("churn", snap); err != nil {
+		b.Fatal(err)
+	}
+	const batch = 512
+	var (
+		bodies   [][]byte
+		minEpoch []uint32
+		maxEpoch uint32
+	)
+	for lo := 0; lo+batch <= len(rs.Samples); lo += batch {
+		caps := make([]*core.Capture, batch)
+		lowest := ^uint32(0)
+		for i, s := range rs.Samples[lo : lo+batch] {
+			caps[i] = s.Capture.(*core.Capture)
+			lowest = min(lowest, caps[i].Epoch)
+		}
+		body, err := json.Marshal(DecodeRequest{Tenant: "churn", Captures: caps})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+		minEpoch = append(minEpoch, lowest)
+		maxEpoch = max(maxEpoch, maxEpochOf(caps))
+	}
+	h := srv.Handler()
+	retire := func(e uint32) {
+		if _, err := srv.RetireEpoch("churn", e); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		retire(maxEpoch)
+		retired := int64(-1)
+		for i, body := range bodies {
+			if e := int64(minEpoch[i]) - 1; e > retired {
+				retire(uint32(e))
+				retired = e
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decode", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("batch %d: HTTP %d", i, rec.Code)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bodies)*batch), "ns/capture")
+}

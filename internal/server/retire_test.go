@@ -188,8 +188,9 @@ func TestMemoMissRaceAccounting(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			var key []byte
+			var cur core.NodeCursor
 			tn.genMu.RLock()
-			n, err := tn.decodeNode(target, &key)
+			n, err := tn.decodeNode(target, &key, &cur)
 			tn.genMu.RUnlock()
 			if err != nil {
 				t.Error(err)

@@ -97,11 +97,12 @@ type tenant struct {
 	// generation and sweeps nodes not pinned by the surviving memo.
 	dag *ccdag.DAG
 
-	// genMu orders decodes against epoch retirement: every decode holds
-	// the read side across its whole memo-lookup/walk/insert, so a
+	// genMu orders decodes against epoch retirement: every batch holds
+	// the read side across its decodes' memo-lookup/walk/insert, so a
 	// retirement (write side) never collects the DAG while a decode's
-	// freshly interned chain is mid-flight — the server-side analogue of
-	// the encoder's capture refcounts.
+	// freshly interned chain is mid-flight or the batch's cursor holds
+	// nodes — the server-side analogue of the encoder's capture
+	// refcounts.
 	genMu sync.RWMutex
 
 	// memo caches fully-determined decodes, bucketed by capture epoch so
@@ -128,6 +129,10 @@ type tenant struct {
 	decoded  atomic.Int64
 	errors   atomic.Int64
 	rejected atomic.Int64
+
+	// framesReused counts the frames decodes took from their batch's
+	// cursor instead of interning them in the DAG.
+	framesReused atomic.Int64
 }
 
 // memoizable reports whether a capture's decode is determined by its
@@ -138,13 +143,14 @@ func memoizable(c *core.Capture) bool {
 }
 
 // decodeNode resolves a capture to its interned context node, through
-// the memo when the capture is memoizable. The memo key is built in
-// *key, the caller's scratch; only an insert copies it. Caller holds
-// t.genMu.RLock (handleDecode takes it per batch), so no retirement can
-// sweep the DAG mid-walk.
-func (t *tenant) decodeNode(c *core.Capture, key *[]byte) (*ccdag.Node, error) {
+// the memo when the capture is memoizable; a walk interns through cur.
+// The memo key is built in *key, the caller's scratch; only an insert
+// copies it. Caller holds t.genMu.RLock (decodeBatch takes it per
+// batch), so no retirement can sweep the DAG mid-walk or between the
+// decodes that share cur.
+func (t *tenant) decodeNode(c *core.Capture, key *[]byte, cur *core.NodeCursor) (*ccdag.Node, error) {
 	if !memoizable(c) {
-		return t.dec.DecodeNode(t.dag, c)
+		return t.dec.DecodeNodeCursor(t.dag, c, cur)
 	}
 	*key = appendMemoKey((*key)[:0], c)
 	t.memoMu.RLock()
@@ -154,7 +160,7 @@ func (t *tenant) decodeNode(c *core.Capture, key *[]byte) (*ccdag.Node, error) {
 		t.memoHits.Add(1)
 		return n, nil
 	}
-	n, err := t.dec.DecodeNode(t.dag, c)
+	n, err := t.dec.DecodeNodeCursor(t.dag, c, cur)
 	if err != nil {
 		return nil, err
 	}
@@ -180,13 +186,23 @@ func (t *tenant) decodeNode(c *core.Capture, key *[]byte) (*ccdag.Node, error) {
 	return n, nil
 }
 
-// retireEpoch declares every capture of epochs ≤ epoch dead: their memo
-// buckets are unlinked, the profiler's node pins are flushed, and the
-// DAG is swept with the surviving memo entries as roots. Returns the
-// number of memo entries dropped and the collection's statistics.
-// Blocks until in-flight decodes drain (genMu write side) and excludes
-// new ones for the duration, so no mid-walk chain can be swept.
+// retireEpoch declares every capture of epochs ≤ epoch dead: the
+// profiler's node pins are flushed, the retired epochs' memo buckets
+// are unlinked, and the DAG is swept with the surviving memo entries as roots.
+// Returns the number of memo entries dropped and the collection's
+// statistics. Blocks until in-flight decodes drain (genMu write side)
+// and excludes new ones for the duration, so no mid-walk chain can be
+// swept.
 func (t *tenant) retireEpoch(epoch uint32) (int64, ccdag.CollectStats) {
+	// Fold the profiler's pending per-node counts into its merged tree
+	// and drop the node keys; without this the shard maps would pin
+	// every node ever sampled and the sweep below would free nothing.
+	// The fold runs before the write lock, so decodes wait only for the
+	// sweep: a node observed between the fold and the lock carries the
+	// current generation and the next retirement folds it, and no count
+	// is lost, because the merged tree keys contexts by frames, not by
+	// node.
+	t.prof.ReleaseNodes()
 	t.genMu.Lock()
 	defer t.genMu.Unlock()
 	var dropped int64
@@ -199,10 +215,6 @@ func (t *tenant) retireEpoch(epoch uint32) (int64, ccdag.CollectStats) {
 	}
 	t.memoMu.Unlock()
 	t.memoSize.Add(-dropped)
-	// Fold the profiler's pending per-node counts into its merged tree
-	// and drop the node keys; without this the shard maps would pin
-	// every node ever sampled and the sweep below would free nothing.
-	t.prof.ReleaseNodes()
 	// Everything not reachable from a surviving memo entry is garbage:
 	// non-memoized decodes materialize their frames inside the request,
 	// so the memo is the only long-lived canonical pin. Advancing the
@@ -282,6 +294,7 @@ func New(cfg Config) *Server {
 	reg.Help("dacced_dag_nodes", "Interned context-DAG nodes per tenant")
 	reg.Help("dacced_dag_intern_hits", "Context-DAG intern lookups that found an existing node")
 	reg.Help("dacced_dag_intern_misses", "Context-DAG intern lookups that created a node")
+	reg.Help("dacced_dag_frames_reused", "Decoded frames taken from the batch's decode cursor instead of interned")
 	reg.Help("dacced_dag_bytes_estimate", "Estimated context-DAG memory footprint per tenant (bytes)")
 	reg.Help("dacced_memo_hits", "Decodes served from the per-tenant node memo")
 	reg.Help("dacced_memo_misses", "Memoizable decodes that had to walk the snapshot")
@@ -507,14 +520,18 @@ type TenantStats struct {
 	// Context-DAG and decode-memo health. DAGNodes and DAGBytesEst are
 	// post-collection figures — the live intern table, not cumulative
 	// interning; DAGCollections/DAGCollected show reclamation working.
-	DAGNodes       int64   `json:"dag_nodes"`
-	DAGHitRate     float64 `json:"dag_hit_rate"`
-	DAGBytesEst    int64   `json:"dag_bytes_estimate"`
-	DAGCollections int64   `json:"dag_collections"`
-	DAGCollected   int64   `json:"dag_collected"`
-	MemoHits       int64   `json:"memo_hits"`
-	MemoMisses     int64   `json:"memo_misses"`
-	MemoSize       int64   `json:"memo_size"`
+	// DAGHitRate covers only the Intern calls decodes still make: the
+	// frames a decode takes from its batch's cursor are counted in
+	// DAGFramesReused instead.
+	DAGNodes        int64   `json:"dag_nodes"`
+	DAGHitRate      float64 `json:"dag_hit_rate"`
+	DAGFramesReused int64   `json:"dag_frames_reused"`
+	DAGBytesEst     int64   `json:"dag_bytes_estimate"`
+	DAGCollections  int64   `json:"dag_collections"`
+	DAGCollected    int64   `json:"dag_collected"`
+	MemoHits        int64   `json:"memo_hits"`
+	MemoMisses      int64   `json:"memo_misses"`
+	MemoSize        int64   `json:"memo_size"`
 }
 
 // Stats is the /v1/stats response body.
@@ -604,19 +621,33 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	// batch; round-robin over the slot count keeps concurrent requests
 	// off each other's shard locks.
 	shard := int(t.profShard.Add(1)-1) % s.cfg.MaxConcurrent
-	// The whole batch runs under the tenant's retirement read-lock: a
-	// concurrent RetireEpoch drains the batch instead of sweeping a
-	// chain some capture here is mid-walk on.
+	wb.out = s.decodeBatch(t, wb, req.Captures, shard)
+	s.mLatency.Observe(time.Since(start).Microseconds())
+	s.count(ep, http.StatusOK)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(wb.out)
+}
+
+// decodeBatch decodes one request's captures into wb.out's response
+// body and returns it. The whole batch runs under the tenant's
+// retirement read-lock: a concurrent RetireEpoch drains the batch
+// instead of sweeping a chain some capture here is mid-walk on, and the
+// nodes wb.cur carries from one capture's walk to the next stay
+// canonical. The cursor is emptied first, because a retirement may
+// have run since it was last filled.
+func (s *Server) decodeBatch(t *tenant, wb *wireBuf, caps []*core.Capture, shard int) []byte {
 	out := append(wb.out[:0], t.wire.head...)
 	t.genMu.RLock()
-	for i, c := range req.Captures {
+	wb.cur.Reset()
+	for i, c := range caps {
 		if i > 0 {
 			out = append(out, ',')
 		}
 		var n *ccdag.Node
 		err := errNullCapture
 		if c != nil {
-			n, err = t.decodeNode(c, &wb.key)
+			n, err = t.decodeNode(c, &wb.key, &wb.cur)
 		}
 		if err != nil {
 			out = appendErrorObject(out, err.Error())
@@ -630,13 +661,9 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		t.decoded.Add(1)
 		s.mDecoded.Inc()
 	}
+	t.framesReused.Add(wb.cur.Reused())
 	t.genMu.RUnlock()
-	wb.out = append(out, "]}\n"...)
-	s.mLatency.Observe(time.Since(start).Microseconds())
-	s.count(ep, http.StatusOK)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(wb.out)
+	return append(out, "]}\n"...)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -710,26 +737,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		t := s.tenants[key]
 		dst := t.dag.Stats()
 		st.Tenants = append(st.Tenants, TenantStats{
-			DAGNodes:       dst.Nodes,
-			DAGHitRate:     dst.HitRate(),
-			DAGBytesEst:    dst.BytesEstimate,
-			DAGCollections: dst.Collections,
-			DAGCollected:   dst.Collected,
-			MemoHits:       t.memoHits.Load(),
-			MemoMisses:     t.memoMisses.Load(),
-			MemoSize:       t.memoSize.Load(),
-			Name:           t.name,
-			Hash:           t.hash,
-			Epochs:         len(t.st.Epochs),
-			Funcs:          len(t.st.Funcs),
-			Edges:          len(t.st.Edges),
-			MaxID:          t.st.Epochs[len(t.st.Epochs)-1].MaxID,
-			Requests:       t.requests.Load(),
-			Decoded:        t.decoded.Load(),
-			Errors:         t.errors.Load(),
-			Rejected:       t.rejected.Load(),
-			Queued:         t.queued.Load(),
-			SnapBytes:      len(t.raw),
+			DAGNodes:        dst.Nodes,
+			DAGHitRate:      dst.HitRate(),
+			DAGFramesReused: t.framesReused.Load(),
+			DAGBytesEst:     dst.BytesEstimate,
+			DAGCollections:  dst.Collections,
+			DAGCollected:    dst.Collected,
+			MemoHits:        t.memoHits.Load(),
+			MemoMisses:      t.memoMisses.Load(),
+			MemoSize:        t.memoSize.Load(),
+			Name:            t.name,
+			Hash:            t.hash,
+			Epochs:          len(t.st.Epochs),
+			Funcs:           len(t.st.Funcs),
+			Edges:           len(t.st.Edges),
+			MaxID:           t.st.Epochs[len(t.st.Epochs)-1].MaxID,
+			Requests:        t.requests.Load(),
+			Decoded:         t.decoded.Load(),
+			Errors:          t.errors.Load(),
+			Rejected:        t.rejected.Load(),
+			Queued:          t.queued.Load(),
+			SnapBytes:       len(t.raw),
 		})
 	}
 	s.mu.RUnlock()
@@ -747,6 +775,7 @@ func (s *Server) refreshTenantGauges() {
 		reg.Gauge("dacced_dag_nodes", "tenant", t.name).Set(st.Nodes)
 		reg.Gauge("dacced_dag_intern_hits", "tenant", t.name).Set(st.Hits)
 		reg.Gauge("dacced_dag_intern_misses", "tenant", t.name).Set(st.Misses)
+		reg.Gauge("dacced_dag_frames_reused", "tenant", t.name).Set(t.framesReused.Load())
 		reg.Gauge("dacced_dag_bytes_estimate", "tenant", t.name).Set(st.BytesEstimate)
 		reg.Gauge("dacced_dag_collected_total", "tenant", t.name).Set(st.Collected)
 		reg.Gauge("dacced_dag_collections_total", "tenant", t.name).Set(st.Collections)

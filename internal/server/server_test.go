@@ -221,6 +221,37 @@ func TestDecodeMemoAndDAG(t *testing.T) {
 		t.Fatalf("stats memo hits/misses %d/%d, tenant counters %d/%d",
 			ts.MemoHits, ts.MemoMisses, hits, misses)
 	}
+	// Every frame a walk produced — a memo miss's or a spawn capture's,
+	// in either pass — was either taken from its batch's cursor or
+	// interned, so dag_frames_reused plus the DAG's intern calls add up
+	// to those frames.
+	var walked int64
+	type memoKey struct {
+		epoch uint32
+		key   string
+	}
+	seen := map[memoKey]bool{}
+	for range 2 {
+		for _, c := range caps {
+			if memoizable(c) {
+				k := memoKey{c.Epoch, string(appendMemoKey(nil, c))}
+				if seen[k] {
+					continue
+				}
+				seen[k] = true
+			}
+			ctx, err := tn.dec.Decode(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walked += int64(len(ctx))
+		}
+	}
+	dst := tn.dag.Stats()
+	if ts.DAGFramesReused == 0 || ts.DAGFramesReused+dst.Hits+dst.Misses != walked {
+		t.Fatalf("stats dag_frames_reused %d + intern hits %d + misses %d, want %d frames walked (reuse > 0)",
+			ts.DAGFramesReused, dst.Hits, dst.Misses, walked)
+	}
 
 	// The scrape-time gauges appear on /metrics and /debug/vars.
 	for _, path := range []string{"/metrics", "/debug/vars"} {
@@ -230,7 +261,7 @@ func TestDecodeMemoAndDAG(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		for _, metric := range []string{"dacced_dag_nodes", "dacced_memo_hits"} {
+		for _, metric := range []string{"dacced_dag_nodes", "dacced_dag_frames_reused", "dacced_memo_hits"} {
 			if !strings.Contains(string(body), metric) {
 				t.Fatalf("%s missing %s:\n%s", path, metric, body)
 			}

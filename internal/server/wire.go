@@ -38,9 +38,9 @@ var errNullCapture = errors.New("null capture")
 const maxPooledBytes = 8 << 20
 
 // wireBuf is one /v1/decode request's reusable state: the body, the
-// slabs the parsed captures live in, the memo-key and materialization
-// scratch, and the response bytes. Everything the parsed DecodeRequest
-// points at is owned here and valid until release.
+// slabs the parsed captures live in, the memo-key, decode-cursor and
+// materialization scratch, and the response bytes. Everything the
+// parsed DecodeRequest points at is owned here and valid until release.
 type wireBuf struct {
 	body  bytes.Buffer
 	caps  []core.Capture  // top-level captures, in request order, nulls skipped
@@ -48,6 +48,7 @@ type wireBuf struct {
 	ptrs  []*core.Capture // DecodeRequest.Captures
 	cc    []core.CCEntry  // ccStacks of the top-level captures
 	key   []byte          // memo key of the capture being decoded
+	cur   core.NodeCursor // the batch's decode cursor
 	ctx   core.Context    // materialized frames of the capture being written
 	out   []byte          // response body
 }
@@ -63,25 +64,31 @@ type capSlot struct {
 var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
 
 // reset empties the buffer for the next request, dropping the spawn
-// chains the capture slab points at.
+// chains the capture slab points at and the cursor's nodes, so a pooled
+// buffer pins nothing a retirement should free.
 func (wb *wireBuf) reset() {
 	clear(wb.caps)
 	clear(wb.ptrs)
+	wb.cur.Reset()
 	wb.body.Reset()
 	wb.caps, wb.slots, wb.ptrs = wb.caps[:0], wb.slots[:0], wb.ptrs[:0]
 	wb.cc, wb.key, wb.ctx, wb.out = wb.cc[:0], wb.key[:0], wb.ctx[:0], wb.out[:0]
 }
 
-// release returns the buffer to the pool unless its footprint exceeds
-// maxPooledBytes.
-func (wb *wireBuf) release() {
-	size := wb.body.Cap() + cap(wb.key) + cap(wb.out) +
+// footprint returns the bytes wb's buffers hold.
+func (wb *wireBuf) footprint() int {
+	return wb.body.Cap() + cap(wb.key) + cap(wb.out) + wb.cur.Bytes() +
 		cap(wb.caps)*int(unsafe.Sizeof(core.Capture{})) +
 		cap(wb.slots)*int(unsafe.Sizeof(capSlot{})) +
 		cap(wb.ptrs)*int(unsafe.Sizeof(&core.Capture{})) +
 		cap(wb.cc)*int(unsafe.Sizeof(core.CCEntry{})) +
 		cap(wb.ctx)*int(unsafe.Sizeof(core.ContextFrame{}))
-	if size > maxPooledBytes {
+}
+
+// release returns the buffer to the pool unless its footprint exceeds
+// maxPooledBytes.
+func (wb *wireBuf) release() {
+	if wb.footprint() > maxPooledBytes {
 		return
 	}
 	wb.reset()
