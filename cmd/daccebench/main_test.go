@@ -131,22 +131,12 @@ func TestUpdateReportKeepsHandWrittenSections(t *testing.T) {
 	}
 }
 
-// TestParseIntsNamesItsFlag: a bad list names the flag it came from, not
-// always -threads.
-func TestParseIntsNamesItsFlag(t *testing.T) {
-	for _, name := range []string{"threads", "targets", "edges", "deltas"} {
-		_, err := parseInts(name, "4,x", nil)
-		if err == nil || err.Error() != `bad -`+name+` value "x"` {
-			t.Errorf("parseInts(%q, \"4,x\") error %v", name, err)
+// TestRetiredSuitesExitWithUsage: the pause, evict and adversarial
+// suites are Go tests now; naming one is an unknown subcommand.
+func TestRetiredSuitesExitWithUsage(t *testing.T) {
+	for _, cmd := range []string{"pause", "evict", "adversarial"} {
+		if code := run([]string{cmd}); code != 2 {
+			t.Errorf("daccebench %s exited %d, want 2", cmd, code)
 		}
-	}
-	if got, err := parseInts("edges", "", []int{7}); err != nil || len(got) != 1 || got[0] != 7 {
-		t.Errorf("empty list: %v, %v; want the default", got, err)
-	}
-	if got, err := parseInts("edges", "10, 20", nil); err != nil || len(got) != 2 || got[1] != 20 {
-		t.Errorf("parseInts(\"10, 20\") = %v, %v", got, err)
-	}
-	if code := run([]string{"pause", "-edges", "x"}); code != 1 {
-		t.Errorf("daccebench pause -edges x exited %d, want 1", code)
 	}
 }

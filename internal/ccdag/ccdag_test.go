@@ -1,7 +1,6 @@
 package ccdag
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -128,9 +127,10 @@ func TestConcurrentIntern(t *testing.T) {
 		walks      = 400
 		maxDepth   = 40
 	)
-	type pathKey string
+	// A path is keyed by its (site, fn) steps, one byte per coordinate:
+	// the alphabet below is far narrower than a byte.
 	var mu sync.Mutex
-	canon := make(map[pathKey]*Node)
+	canon := make(map[string]*Node)
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -138,10 +138,11 @@ func TestConcurrentIntern(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			local := make(map[pathKey]*Node)
+			local := make(map[string]*Node)
+			path := make([]byte, 0, 2*maxDepth)
 			for w := 0; w < walks; w++ {
 				n := d.Root(0)
-				key := "r0"
+				path = path[:0]
 				depth := 1 + rng.Intn(maxDepth)
 				for i := 0; i < depth; i++ {
 					// A small alphabet makes the goroutines collide on
@@ -150,19 +151,20 @@ func TestConcurrentIntern(t *testing.T) {
 					site := prog.SiteID(rng.Intn(6))
 					fn := prog.FuncID(rng.Intn(6))
 					n = d.Intern(n, site, fn)
-					key += fmt.Sprintf("|%d,%d", site, fn)
-					if prev, ok := local[pathKey(key)]; ok && prev != n {
-						t.Errorf("goroutine saw two nodes for one path %s", key)
+					path = append(path, byte(site), byte(fn))
+					if prev, ok := local[string(path)]; !ok {
+						local[string(path)] = n
+					} else if prev != n {
+						t.Errorf("goroutine saw two nodes for one path %v", path)
 						return
 					}
-					local[pathKey(key)] = n
 				}
 			}
 			mu.Lock()
 			defer mu.Unlock()
 			for k, n := range local {
 				if prev, ok := canon[k]; ok && prev != n {
-					t.Errorf("two goroutines interned distinct nodes for path %s", k)
+					t.Errorf("two goroutines interned distinct nodes for path %v", []byte(k))
 					return
 				}
 				canon[k] = n
@@ -176,9 +178,8 @@ func TestConcurrentIntern(t *testing.T) {
 
 	// Serial re-intern of every observed path must hit the same nodes.
 	for k, want := range canon {
-		n := reintern(d, string(k))
-		if n != want {
-			t.Fatalf("serial re-intern of %s produced %p, concurrent phase made %p", k, n, want)
+		if n := reintern(d, k); n != want {
+			t.Fatalf("serial re-intern of %v produced %p, concurrent phase made %p", []byte(k), n, want)
 		}
 	}
 	// Every observed path plus the shared root node.
@@ -188,17 +189,12 @@ func TestConcurrentIntern(t *testing.T) {
 	}
 }
 
-// reintern rebuilds a path from its test key ("r0|site,fn|site,fn...").
+// reintern interns a path from root 0, one (site, fn) step per byte
+// pair of its key.
 func reintern(d *DAG, key string) *Node {
 	n := d.Root(0)
-	var site, fn int
-	rest := key[len("r0"):]
-	for len(rest) > 0 {
-		if _, err := fmt.Sscanf(rest, "|%d,%d", &site, &fn); err != nil {
-			panic("bad path key " + key)
-		}
-		n = d.Intern(n, prog.SiteID(site), prog.FuncID(fn))
-		rest = rest[len(fmt.Sprintf("|%d,%d", site, fn)):]
+	for i := 0; i+1 < len(key); i += 2 {
+		n = d.Intern(n, prog.SiteID(key[i]), prog.FuncID(key[i+1]))
 	}
 	return n
 }

@@ -2,11 +2,60 @@ package core
 
 import (
 	"slices"
+	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"dacce/internal/graph"
 	"dacce/internal/machine"
 	"dacce/internal/prog"
 )
+
+// Discovery names one synthetic edge observation for InjectDiscoveries.
+type Discovery struct {
+	Site prog.SiteID
+	Fn   prog.FuncID
+	// Freq is the observed invocation count credited to the edge
+	// (minimum 1); it drives the hottest-first ordering exactly like
+	// trap- and sample-credited frequency does.
+	Freq int64
+}
+
+// InjectDiscoveries feeds a batch of edge observations through the same
+// bookkeeping a runtime-handler trap performs — graph insertion and
+// registration, frequency credit, trigger counters, pendingNew — but
+// without executing any call. It lets a test stage a graph of a precise
+// size and delta and then measure a single re-encoding pass: going
+// through the graph directly would bypass pendingNew and starve the
+// incremental Refresh of the additions it renumbers. No pass is
+// triggered; pair with ReencodeNow.
+func (d *DACCE) InjectDiscoveries(batch []Discovery) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	installed := d.m.Load() != nil
+	var fresh []*graph.Edge
+	for _, disc := range batch {
+		freq := disc.Freq
+		if freq < 1 {
+			freq = 1
+		}
+		e, isNew := d.g.DiscoverEdge(disc.Site, disc.Fn)
+		atomic.AddInt64(&e.Freq, freq)
+		if !isNew {
+			continue
+		}
+		fresh = append(fresh, e)
+		d.edgesDiscovered.Add(1)
+		d.newEdges.Add(1)
+		d.edgeCount.Add(1)
+		if installed {
+			d.rebuildSite(disc.Site)
+		}
+	}
+	d.g.RegisterEdges(fresh)
+	d.pendingNew = append(d.pendingNew, fresh...)
+}
 
 // twoLevelProgram builds main → callers → leaves with every edge
 // expressed as a static call site, plus `reserved` extra sites on
@@ -20,22 +69,75 @@ func twoLevelProgram(tb testing.TB, callers, leavesPerCaller, reserved int) (*pr
 	var base, extra []Discovery
 	var callerFns []prog.FuncID
 	for c := 0; c < callers; c++ {
-		cf := b.Func("c" + string(rune('A'+c)))
+		cf := b.Func("c" + strconv.Itoa(c))
 		callerFns = append(callerFns, cf)
 		base = append(base, Discovery{Site: b.CallSite(mainF, cf), Fn: cf, Freq: 10})
 		for l := 0; l < leavesPerCaller; l++ {
-			lf := b.Func("l" + string(rune('A'+c)) + string(rune('a'+l)))
+			lf := b.Func("l" + strconv.Itoa(c) + "." + strconv.Itoa(l))
 			b.Leaf(lf, 1)
 			base = append(base, Discovery{Site: b.CallSite(cf, lf), Fn: lf, Freq: 5})
 		}
 	}
 	for r := 0; r < reserved; r++ {
-		lf := b.Func("x" + string(rune('a'+r)))
+		lf := b.Func("x" + strconv.Itoa(r))
 		b.Leaf(lf, 1)
 		extra = append(extra, Discovery{Site: b.CallSite(callerFns[0], lf), Fn: lf, Freq: 1})
 	}
 	b.Body(mainF, func(x prog.Exec) {})
 	return b.MustBuild(), base, extra
+}
+
+// TestPauseScalesWithDeltaNotGraph is the bounded-pause gate: on
+// two-level graphs of 10k and 100k edges, three incremental passes of
+// 64 injected edges each stay incremental, stop the world for at most
+// 20 ms, and do the same work at both sizes — the same changed edges,
+// rebuilt sites and index entries — so the pause follows the delta,
+// not the graph.
+func TestPauseScalesWithDeltaNotGraph(t *testing.T) {
+	const (
+		delta    = 64
+		passes   = 3
+		maxPause = 20 * time.Millisecond
+	)
+	type passWork struct{ changed, rebuilt, entries int }
+	var first []passWork
+	for _, edges := range []int{10_000, 100_000} {
+		// edges/100 callers with 99 leaves each: edges/100 caller edges
+		// plus 99·edges/100 leaf edges.
+		p, base, extra := twoLevelProgram(t, edges/100, 99, passes*delta)
+		if len(base) != edges {
+			t.Fatalf("staged %d base edges, want %d", len(base), edges)
+		}
+		d := New(p, Options{})
+		// Base edges go in before Install: with no machine there are no
+		// stubs yet, so staging skips one site rebuild per edge.
+		d.InjectDiscoveries(base)
+		d.Install(machine.New(p, d, machine.Config{}))
+		d.ForceReencode(nil) // epoch 1: the full pass the increments chain from
+
+		var work []passWork
+		for i := 0; i < passes; i++ {
+			d.InjectDiscoveries(extra[i*delta : (i+1)*delta])
+			d.ReencodeNow(nil, true)
+			h := d.Stats().History
+			r := h[len(h)-1]
+			if !r.Incremental {
+				t.Fatalf("%d edges, pass %d: fell back to a full renumbering", edges, i)
+			}
+			if pause := time.Duration(r.PauseNanos); pause > maxPause {
+				t.Errorf("%d edges, pass %d: paused %v, over the %v bound", edges, i, pause, maxPause)
+			}
+			work = append(work, passWork{r.ChangedEdges, r.SitesRebuilt, r.IndexEntries})
+			t.Logf("%d edges, pass %d: pause %v, changed %d, rebuilt %d, index entries %d",
+				edges, i, time.Duration(r.PauseNanos), r.ChangedEdges, r.SitesRebuilt, r.IndexEntries)
+		}
+		if first == nil {
+			first = work
+		} else if !slices.Equal(work, first) {
+			t.Errorf("%d edges: passes did %+v (changed, rebuilt, entries), the 10k-edge graph %+v; the work grew with the graph",
+				edges, work, first)
+		}
+	}
 }
 
 // diffIndexes compares two decode indexes: the same dictionary, and the

@@ -625,49 +625,3 @@ func (d *DACCE) DecodeHist() *telemetry.Histogram { return d.decodeHist }
 // re-encoding pass — the watchdog's backlog source: a runaway value
 // means discovery is outpacing the adaptive controller.
 func (d *DACCE) TrapBacklog() int64 { return d.newEdges.Load() }
-
-// Discovery names one synthetic edge observation for InjectDiscoveries.
-type Discovery struct {
-	Site prog.SiteID
-	Fn   prog.FuncID
-	// Freq is the observed invocation count credited to the edge
-	// (minimum 1); it drives the hottest-first ordering exactly like
-	// trap- and sample-credited frequency does.
-	Freq int64
-}
-
-// InjectDiscoveries feeds a batch of edge observations through the same
-// bookkeeping a runtime-handler trap performs — graph insertion and
-// registration, frequency credit, trigger counters, pendingNew — but
-// without executing any call. It exists for the experiment suites
-// (notably the pause suite), which need to stage graphs of a precise
-// size and delta and then measure a single re-encoding pass: going
-// through the graph directly would bypass pendingNew and starve the
-// incremental Refresh of the additions it renumbers. No pass is
-// triggered; pair with ReencodeNow.
-func (d *DACCE) InjectDiscoveries(batch []Discovery) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	installed := d.m.Load() != nil
-	var fresh []*graph.Edge
-	for _, disc := range batch {
-		freq := disc.Freq
-		if freq < 1 {
-			freq = 1
-		}
-		e, isNew := d.g.DiscoverEdge(disc.Site, disc.Fn)
-		atomic.AddInt64(&e.Freq, freq)
-		if !isNew {
-			continue
-		}
-		fresh = append(fresh, e)
-		d.edgesDiscovered.Add(1)
-		d.newEdges.Add(1)
-		d.edgeCount.Add(1)
-		if installed {
-			d.rebuildSite(disc.Site)
-		}
-	}
-	d.g.RegisterEdges(fresh)
-	d.pendingNew = append(d.pendingNew, fresh...)
-}

@@ -5,6 +5,7 @@ import (
 
 	"dacce/internal/machine"
 	"dacce/internal/prog"
+	"dacce/internal/telemetry"
 )
 
 // discoveringProgram keeps exposing new edges so adaptive triggers keep
@@ -278,6 +279,42 @@ func TestIncrementalEncoding(t *testing.T) {
 	}
 	if incr.MaxID != full.MaxID {
 		t.Errorf("incremental maxID %d, full maxID %d", incr.MaxID, full.MaxID)
+	}
+}
+
+// TestFullPassCountsChangedEdges: a full pass reports as changed every
+// edge whose code differs from the previous epoch's, new edges
+// included, in its EpochRecord and in its prepared event. The delta's
+// edges are hotter than the base's, so hot-first ordering recodes old
+// edges too.
+func TestFullPassCountsChangedEdges(t *testing.T) {
+	p, base, delta := layeredProgram(t, 4, 6)
+	sink := &collectSink{}
+	d := New(p, Options{Trig: quietTriggers, Sink: sink})
+	d.InjectDiscoveries(base)
+	d.Install(machine.New(p, d, machine.Config{}))
+	d.ForceReencode(nil)
+	d.InjectDiscoveries(delta)
+	prev := d.Epoch()
+	d.ForceReencode(nil)
+
+	before, after := d.Dict(prev), d.Dict(prev+1)
+	want := 0
+	for i, c := range after.Codes {
+		if i >= len(before.Codes) || before.Codes[i] != c {
+			want++
+		}
+	}
+	if want <= len(delta) {
+		t.Fatalf("the pass recoded %d edges, no more than the %d new ones; the check is vacuous", want, len(delta))
+	}
+	h := d.Stats().History
+	if got := h[len(h)-1]; got.Incremental || got.ChangedEdges != want {
+		t.Errorf("full pass recorded %d changed edges (incremental %v), want %d", got.ChangedEdges, got.Incremental, want)
+	}
+	prepared := sink.byKind(telemetry.EvReencodePrepared)
+	if got := prepared[len(prepared)-1].Value; got != uint64(want) {
+		t.Errorf("prepared event carries %d changed edges, want %d", got, want)
 	}
 }
 

@@ -252,17 +252,22 @@ func TestSoakBoundedFootprint(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		d.ForceReencode(nil)
+		// Count before the forced pass, whose collection empties the DAG:
+		// this is the round's working set plus whatever earlier rounds
+		// failed to reclaim, so a leak shows here as growth.
 		n := d.DAG().Len()
 		switch {
 		case r == rounds/4:
 			peakEarly = n
+		case r > rounds/4 && n > peakLate:
+			peakLate = n
+		}
+		d.ForceReencode(nil)
+		if r == rounds/4 {
 			var ms runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&ms)
 			heapEarly = ms.HeapAlloc
-		case r > rounds/4 && n > peakLate:
-			peakLate = n
 		}
 	}
 	st := d.Stats()
@@ -275,15 +280,16 @@ func TestSoakBoundedFootprint(t *testing.T) {
 	if obs.released.Load() == 0 {
 		t.Fatal("observer pins were never flushed")
 	}
-	// Bounded DAG: the post-collection footprint late in the soak stays
+	// Bounded DAG: the pre-collection footprint late in the soak stays
 	// within a small factor of the early steady state — it must not grow
 	// with round count.
 	if peakEarly == 0 {
-		peakEarly = 1
+		t.Fatal("the early round interned no context; the bound is vacuous")
 	}
-	if peakLate > 4*peakEarly+1024 {
+	if peakLate > 2*peakEarly+1024 {
 		t.Fatalf("DAG footprint grew with history: %d nodes late vs %d early", peakLate, peakEarly)
 	}
+	t.Logf("DAG nodes before collection: %d early, %d late peak", peakEarly, peakLate)
 	var ms runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms)

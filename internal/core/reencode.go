@@ -28,8 +28,8 @@ const (
 	// passForceFull: unconditional full renumbering (ForceReencode).
 	passForceFull
 	// passForceIncremental: unconditional, incremental renumbering
-	// preferred — the experiment suites' entry point for driving
-	// bounded-pause passes without racing the adaptive thresholds.
+	// preferred — ReencodeNow's entry point for driving bounded-pause
+	// passes without racing the adaptive thresholds.
 	passForceIncremental
 )
 
@@ -133,6 +133,10 @@ type passPlan struct {
 	incremental bool
 	changed     []*graph.Edge
 	affected    map[prog.FuncID]bool
+	// changedEdges counts the edges whose code differs from the
+	// previous epoch's, new edges included: len(changed) on an
+	// incremental plan, a diff of the two dictionaries on a full one.
+	changedEdges int
 	// dirtyEdges is changed ∪ compressAdds: the edges whose actionFor
 	// result can differ from the previous epoch. dirtySites are their
 	// call sites — the delta stub-rebuild set.
@@ -181,8 +185,10 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	}
 	if plan.incremental {
 		plan.renumberedEdges = len(plan.changed)
+		plan.changedEdges = len(plan.changed)
 	} else {
 		plan.renumberedEdges = d.g.NumEdges()
+		plan.changedEdges = changedCodes(prev.asn, plan.asn)
 	}
 	plan.renumberNanos = time.Since(t0).Nanoseconds()
 
@@ -232,6 +238,19 @@ func (d *DACCE) preparePlanLocked(mode passMode, trig trigSnap) *passPlan {
 	return plan
 }
 
+// changedCodes counts the edges whose code in next differs from prev's,
+// counting the edges prev does not list as changed.
+func changedCodes(prev, next *blenc.Assignment) int {
+	shared := min(len(prev.Codes), len(next.Codes))
+	n := len(next.Codes) - shared
+	for i, c := range next.Codes[:shared] {
+		if c != prev.Codes[i] {
+			n++
+		}
+	}
+	return n
+}
+
 // discardPlanLocked returns a prepared-but-unusable plan's consumed
 // additions to pendingNew so a later incremental pass still sees them.
 func (d *DACCE) discardPlanLocked(plan *passPlan) {
@@ -268,6 +287,7 @@ func (d *DACCE) extendPlanLocked(plan *passPlan, trig trigSnap) *passPlan {
 	plan.indexEntries += entries
 	plan.indexNanos += time.Since(t1).Nanoseconds()
 	plan.renumberedEdges += len(changed)
+	plan.changedEdges += len(changed)
 	plan.renumberNanos += time.Since(t0).Nanoseconds() - time.Since(t1).Nanoseconds()
 	plan.changed = append(plan.changed, changed...)
 	for fn := range affected {
@@ -423,7 +443,7 @@ func (d *DACCE) commitPlanLocked(self *machine.Thread, plan *passPlan, start, pa
 		Overflowed:        plan.asn.Overflowed,
 		CostCycles:        cost,
 		Incremental:       plan.incremental,
-		ChangedEdges:      len(plan.changed),
+		ChangedEdges:      plan.changedEdges,
 		IndexEntries:      plan.indexEntries,
 		SitesRebuilt:      sitesRebuilt,
 		ThreadsTranslated: threadsTranslated,
@@ -574,7 +594,7 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 		d.sink.Emit(telemetry.Event{
 			Kind: telemetry.EvReencodePrepared, Thread: tid, Reason: plan.reason,
 			Epoch: plan.prevEpoch, Site: prog.NoSite, Fn: prog.NoFunc,
-			Value: uint64(len(plan.changed)), Aux: uint64(plan.renumberedEdges),
+			Value: uint64(plan.changedEdges), Aux: uint64(plan.renumberedEdges),
 			DurNanos: time.Since(start).Nanoseconds(),
 		})
 	}

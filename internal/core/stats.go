@@ -28,7 +28,7 @@ type EpochRecord struct {
 	Incremental bool
 
 	// Per-phase work volume.
-	ChangedEdges      int // edges whose code differs from the previous epoch
+	ChangedEdges      int // edges whose code differs from the previous epoch, new ones included
 	IndexEntries      int // decode-index in-edge entries (re)built
 	SitesRebuilt      int // call-site stubs regenerated
 	ThreadsTranslated int // threads whose TLS/frames were replayed

@@ -2,10 +2,7 @@
 // (benchmark characteristics under PCCE and DACCE), Figure 8 (runtime
 // overhead), Figure 9 (encoding progress over time) and Figure 10
 // (cumulative stack-depth distributions). The same entry points back
-// the daccebench binary and the root-level Go benchmarks. Beside them
-// sit the three suites that gate what perfbench does not measure: the
-// re-encoding pause against graph size (Pause), epoch-retirement
-// reclamation (Evict) and adversarial workloads (Adversarial).
+// the daccebench binary and the root-level Go benchmarks.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"dacce/internal/ccprof"
+	"dacce/internal/telemetry"
 )
 
 // TestDebugCcprof exercises the live profile endpoint: decode a batch,
@@ -144,6 +146,56 @@ func TestMetricsRequestDuration(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestEveryMetricFamilyHasHelp renders the encoder's Metrics sink after
+// one event of every kind, and dacced's registry after one decode, and
+// requires a HELP line for every family either exposes.
+func TestEveryMetricFamilyHasHelp(t *testing.T) {
+	m := telemetry.NewMetrics()
+	for k := telemetry.Kind(0); k < telemetry.NumKinds; k++ {
+		m.Emit(telemetry.Event{Kind: k, Reason: telemetry.ReasonNewEdges, Epoch: 1, Site: 1, Fn: 1, Value: 1, Aux: 1, DurNanos: 1})
+	}
+	var sink bytes.Buffer
+	if err := m.WritePrometheus(&sink); err != nil {
+		t.Fatal(err)
+	}
+
+	f := newServeFixture(t, Config{}, 5_000, 29)
+	if _, dr := f.decode(t, "serve", f.captures[:1]); dr == nil {
+		t.Fatal("decode failed")
+	}
+	resp, err := http.Get(f.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dacced, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, text := range map[string]string{"Metrics sink": sink.String(), "dacced": string(dacced)} {
+		typed, helped := map[string]bool{}, map[string]bool{}
+		for _, line := range strings.Split(text, "\n") {
+			if w := strings.Fields(line); len(w) >= 3 && w[0] == "#" {
+				switch w[1] {
+				case "TYPE":
+					typed[w[2]] = true
+				case "HELP":
+					helped[w[2]] = true
+				}
+			}
+		}
+		if len(typed) == 0 {
+			t.Fatalf("%s exposes no metric family", name)
+		}
+		for fam := range typed {
+			if !helped[fam] {
+				t.Errorf("%s: family %s has no HELP line", name, fam)
+			}
 		}
 	}
 }

@@ -32,9 +32,12 @@ func decodeJSONBody(t *testing.T, resp *http.Response, v any) {
 // epochs, and check that the memo empties, the DAG shrinks to what the
 // (now empty) memo pins, stats expose the reclamation, and decoding the
 // same captures afterwards still matches the in-process encoder — a
-// retirement is a memory policy, never a data deletion.
+// retirement is a memory policy, never a data deletion. Then 40 rounds
+// of a 512-capture decode, each followed by retiring every epoch, must
+// empty the memo every time and keep the DAG's pre-retirement peak
+// bounded by the early rounds' instead of growing with history.
 func TestRetireEpochBoundsMemoAndDAG(t *testing.T) {
-	f := newServeFixture(t, Config{}, 30_000, 29)
+	f := newServeFixture(t, Config{}, 80_000, 5)
 	if _, dr := f.decode(t, "serve", f.captures); dr == nil {
 		t.Fatal("warm decode failed")
 	}
@@ -108,6 +111,37 @@ func TestRetireEpochBoundsMemoAndDAG(t *testing.T) {
 			}
 		}
 	}
+
+	const rounds, batch = 40, 512
+	var early, latePeak int64
+	for r := 0; r < rounds; r++ {
+		caps := make([]*core.Capture, batch)
+		for i := range caps {
+			caps[i] = f.captures[(r*batch+i)%len(f.captures)]
+		}
+		if _, dr := f.decode(t, "serve", caps); dr == nil {
+			t.Fatalf("round %d: decode failed", r)
+		}
+		switch n := tn.dag.Len(); {
+		case r == rounds/4:
+			early = n
+		case r > rounds/4 && n > latePeak:
+			latePeak = n
+		}
+		if _, err := f.srv.RetireEpoch("serve", maxEpoch); err != nil {
+			t.Fatal(err)
+		}
+		if got := tn.memoSize.Load(); got != 0 {
+			t.Fatalf("round %d: memo holds %d entries after retiring every epoch", r, got)
+		}
+	}
+	if early == 0 {
+		t.Fatal("the early round interned no context; the bound is vacuous")
+	}
+	if latePeak > 2*early+1024 {
+		t.Fatalf("DAG footprint grew with history: %d nodes late vs %d early", latePeak, early)
+	}
+	t.Logf("%d captures; DAG nodes before retirement: %d early, %d late peak", len(f.captures), early, latePeak)
 }
 
 // TestMemoizableWithCC checks the exact ccStack key: captures carrying

@@ -92,7 +92,20 @@ func NewMetrics() *Metrics {
 	}
 	reg.Help("dacce_edges_discovered_total", "Call edges first seen by the runtime handler.")
 	reg.Help("dacce_reencode_total", "Adaptive re-encoding passes by trigger reason.")
+	reg.Help("dacce_ccstack_push_total", "ccStack pushes by unencoded or recursive calls.")
+	reg.Help("dacce_ccstack_pop_total", "ccStack pops by call epilogues.")
 	reg.Help("dacce_ccstack_depth", "ccStack depth observed at each push.")
+	reg.Help("dacce_indirect_promoted_total", "Indirect sites promoted from the inline compare chain to hash dispatch.")
+	reg.Help("dacce_id_overflow_total", "Encoding passes that exceeded the id budget and excluded cold edges.")
+	reg.Help("dacce_tail_fixup_total", "Functions found to make a tail call, whose callers were patched.")
+	reg.Help("dacce_handler_traps_total", "Call-site invocations of the runtime handler.")
+	reg.Help("dacce_handler_sites", fmt.Sprintf("Distinct call sites that trapped into the runtime handler (at most %d tracked).", maxTrackedSites))
+	reg.Help("dacce_handler_hits", "Runtime-handler traps at each of the hottest trapping sites.")
+	reg.Help("dacce_decode_requests_total", "External decode requests by outcome.")
+	reg.Help("dacce_threads_started_total", "Machine threads started.")
+	reg.Help("dacce_threads_exited_total", "Machine threads finished.")
+	reg.Help("dacce_samples_total", "Periodic samples that captured a context.")
+	reg.Help("dacce_epoch", "Current encoding epoch (gTimeStamp).")
 	reg.Help("dacce_reencode_cost_cycles", "Model cost of each re-encoding pass.")
 	reg.Help("dacce_max_id", "Maximum context id of the current epoch.")
 	reg.Help("dacce_id_budget", "Configured context-id budget.")
