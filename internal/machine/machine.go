@@ -324,10 +324,15 @@ func (m *Machine) spawn(fn prog.FuncID, parent *Thread) *Thread {
 		own := parent.ShadowCopy()
 		t.SpawnShadow = append(append(make([]Frame, 0, len(pre)+len(own)), pre...), own...)
 	}
+	// The scheme sets the thread up before Threads lists it: a pass may
+	// run from outside the machine (the entry thread is spawned from
+	// Run's goroutine, which no stop waits for) and translate every
+	// listed thread. A pass that misses the fresh thread loses nothing;
+	// translating a thread with no frame yet leaves it as it is.
+	m.scheme.ThreadStart(t, parent)
 	m.threadsMu.Lock()
 	m.threads = append(m.threads, t)
 	m.threadsMu.Unlock()
-	m.scheme.ThreadStart(t, parent)
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -234,6 +235,103 @@ func BenchmarkDecodeChurn(b *testing.B) {
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decode", bytes.NewReader(body)))
 			if rec.Code != http.StatusOK {
 				b.Fatalf("batch %d: HTTP %d", i, rec.Code)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bodies)*batch), "ns/capture")
+}
+
+// recordXalancbmk records 483.xalancbmk as perfbench's serve workloads
+// do: one single-threaded run cold, then one warm on the same encoder,
+// each sampled every 16 calls. The snapshot is exported after both, so
+// it decodes either stream. It returns the snapshot, the cold stream
+// (serve-churn's corpus) and the warm one (serve-hot's).
+func recordXalancbmk(tb testing.TB, calls int64) (snap []byte, cold, warm []*core.Capture) {
+	tb.Helper()
+	pr, ok := workload.ByName("483.xalancbmk")
+	if !ok {
+		tb.Fatal("no 483.xalancbmk profile")
+	}
+	pr.Threads, pr.TotalCalls = 1, calls
+	w, err := workload.Build(pr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := core.New(w.P, core.Options{})
+	var streams [2][]*core.Capture
+	for i := range streams {
+		rs, err := w.NewMachine(d, machine.Config{SampleEvery: 16}).Run()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, s := range rs.Samples {
+			streams[i] = append(streams[i], s.Capture.(*core.Capture))
+		}
+	}
+	snap, err = persist.Marshal(d.ExportState())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return snap, streams[0], streams[1]
+}
+
+// replayWriter is a reusable http.ResponseWriter that keeps the status
+// and the body, so a replay loop measures the handler, not a recorder.
+type replayWriter struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+func (w *replayWriter) Header() http.Header         { return w.header }
+func (w *replayWriter) WriteHeader(code int)        { w.code = code }
+func (w *replayWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
+
+// BenchmarkDecodeHot replays serve-hot's read path in process: the
+// warm 483.xalancbmk stream cut into 512-capture /v1/decode bodies,
+// each sent once to warm the memo, then replayed through
+// Handler().ServeHTTP with a reused ResponseWriter, every response
+// byte-compared with the body's first. One op is one pass over the
+// stream; ns/capture is the op's time per capture.
+func BenchmarkDecodeHot(b *testing.B) {
+	const batch = 512
+	snap, _, warm := recordXalancbmk(b, 300_000)
+	srv := New(Config{})
+	if _, err := srv.Register("hot", snap); err != nil {
+		b.Fatal(err)
+	}
+	var bodies [][]byte
+	for lo := 0; lo+batch <= len(warm); lo += batch {
+		body, err := json.Marshal(DecodeRequest{Tenant: "hot", Captures: warm[lo : lo+batch]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	h := srv.Handler()
+	w := &replayWriter{header: http.Header{}}
+	req := httptest.NewRequest(http.MethodPost, "/v1/decode", nil)
+	var rd bytes.Reader
+	serve := func(i int) []byte {
+		rd.Reset(bodies[i])
+		req.Body = io.NopCloser(&rd)
+		w.body.Reset()
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("batch %d: HTTP %d: %.200s", i, w.code, w.body.Bytes())
+		}
+		return w.body.Bytes()
+	}
+	refs := make([][]byte, len(bodies))
+	for i := range bodies {
+		refs[i] = bytes.Clone(serve(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i := range bodies {
+			if !bytes.Equal(serve(i), refs[i]) {
+				b.Fatalf("batch %d: response differs from its first", i)
 			}
 		}
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dacce/internal/ccdag"
 	"dacce/internal/core"
@@ -335,4 +338,50 @@ func TestMemoKeysExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRetireEpochFreesProfiledNodes: once every epoch is retired,
+// nothing in the tenant keeps a decoded context alive — not the memo,
+// not the DAG, and not the streaming profiler, whose per-shard counts
+// key every node a decode observed until retireEpoch folds them into
+// its frame-keyed tree. A finalizer on every decoded leaf node must run
+// before the deadline.
+func TestRetireEpochFreesProfiledNodes(t *testing.T) {
+	f := newServeFixture(t, Config{}, 30_000, 29)
+	tn := f.srv.resolve("serve")
+	if _, dr := f.decode(t, "serve", f.captures); dr == nil {
+		t.Fatal("decode failed")
+	}
+	var freed atomic.Int64
+	leaves := finalizeMemoNodes(tn, &freed)
+	if leaves == 0 || tn.prof.Total() == 0 {
+		t.Fatalf("%d memoized leaves, profile total %d: the decode observed nothing", leaves, tn.prof.Total())
+	}
+	tn.retireEpoch(maxEpochOf(f.captures))
+	deadline := time.Now().Add(10 * time.Second)
+	for freed.Load() < leaves {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d decoded leaf nodes freed 10 s after retiring every epoch", freed.Load(), leaves)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// finalizeMemoNodes sets a finalizer counting into freed on every
+// distinct node the tenant's memo holds and returns how many it set.
+// It keeps no node reachable once it returns.
+func finalizeMemoNodes(tn *tenant, freed *atomic.Int64) int64 {
+	seen := map[*ccdag.Node]bool{}
+	tn.memoMu.RLock()
+	for _, b := range tn.memo {
+		for _, n := range b {
+			if !seen[n] {
+				seen[n] = true
+				runtime.SetFinalizer(n, func(*ccdag.Node) { freed.Add(1) })
+			}
+		}
+	}
+	tn.memoMu.RUnlock()
+	return int64(len(seen))
 }

@@ -386,7 +386,7 @@ func (s *Server) Register(name string, data []byte) (string, error) {
 		raw:   data,
 		prof:  ccprof.NewStreaming(dec.P),
 		dag:   ccdag.New(),
-		wire:  newWireNames(name, hash, dec.P.Funcs),
+		wire:  newWireNames(name, hash, dec.P),
 		memo:  map[uint32]map[string]*ccdag.Node{},
 		slots: make(chan struct{}, s.cfg.MaxConcurrent),
 	}

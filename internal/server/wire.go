@@ -1,9 +1,12 @@
 package server
 
 // The /v1/decode codec. Requests are parsed by a strict single-pass
-// parser straight into per-request slabs, and responses are appended
-// into a reused byte slice from per-tenant pre-escaped fragments, so a
-// warm batch costs a constant number of allocations whatever its size.
+// parser straight into per-request slabs; a capture in json.Marshal's
+// exact form takes a one-pass path that reads fixed fragments instead
+// of keys, and anything else falls back to the general parser.
+// Responses are appended into a reused byte slice from per-tenant
+// pre-escaped fragments, so a warm batch costs a constant number of
+// allocations whatever its size.
 // The wire contract is DecodeRequest/DecodeResponse: the parser
 // accepts a subset of what encoding/json accepts and yields the
 // identical DecodeRequest wherever it accepts, and the writer's bytes
@@ -552,7 +555,7 @@ func (p *parser) captures() ([]*core.Capture, error) {
 			return nil, err
 		}
 		slot := capSlot{cap: -1, ccLo: -1}
-		if !isNull {
+		if !isNull && !p.marshaledCapture(&slot) {
 			wb.caps = append(wb.caps, core.Capture{})
 			slot.cap = len(wb.caps) - 1
 			if err := p.capture(&wb.caps[slot.cap], &slot); err != nil {
@@ -582,6 +585,133 @@ func (p *parser) captures() ([]*core.Capture, error) {
 	}
 	wb.ptrs = caps
 	return caps, nil
+}
+
+// marshaledCapture is the one-pass path for a top-level capture whose
+// bytes at p.i are exactly what json.Marshal writes for a spawn-free
+// core.Capture, the form every client in this repository sends:
+//
+//	{"Epoch":N,"ID":N,"Fn":N,"Root":N,"CC":null|[],"Spawn":null}
+//	{"Epoch":N,…,"CC":[{"ID":N,"Site":N,"Target":N,"Count":N,"Rec":true|false},…],"Spawn":null}
+//
+// with no whitespace, no leading zero, no -0 and every value in range.
+// It compares each fixed fragment in one step and appends the capture
+// and its ccStack to the slabs. At the first byte that differs it drops
+// what it appended, leaves p.i at the capture's first byte and reports
+// false, and the general parser reads the capture from there: so every
+// other form, every spawn chain and every error behaves as if this path
+// did not exist, and no capture is read more than twice. Every input it
+// accepts, the general parser accepts with the same result and stop
+// offset (FuzzCaptureFastPath).
+func (p *parser) marshaledCapture(slot *capSlot) bool {
+	wb, b := p.wb, p.b
+	var c core.Capture
+	var v uint64
+	var s int32
+	v, i := marshaledUint(b, fragment(b, p.i, `{"Epoch":`), 1<<32-1)
+	c.Epoch = uint32(v)
+	c.ID, i = marshaledUint(b, fragment(b, i, `,"ID":`), 1<<64-1)
+	s, i = marshaledInt32(b, fragment(b, i, `,"Fn":`))
+	c.Fn = prog.FuncID(s)
+	s, i = marshaledInt32(b, fragment(b, i, `,"Root":`))
+	c.Root = prog.FuncID(s)
+	ccLo, cc := len(wb.cc), wb.cc
+	switch i = fragment(b, i, `,"CC":`); {
+	case i < 0:
+	case fragment(b, i, `null`) >= 0:
+		i += len(`null`)
+		ccLo = -1
+	case fragment(b, i, `[]`) >= 0:
+		i += len(`[]`)
+	default:
+		for i = fragment(b, i, `[`); i >= 0; i++ {
+			var e core.CCEntry
+			e.ID, i = marshaledUint(b, fragment(b, i, `{"ID":`), 1<<64-1)
+			s, i = marshaledInt32(b, fragment(b, i, `,"Site":`))
+			e.Site = prog.SiteID(s)
+			s, i = marshaledInt32(b, fragment(b, i, `,"Target":`))
+			e.Target = prog.FuncID(s)
+			v, i = marshaledUint(b, fragment(b, i, `,"Count":`), 1<<32-1)
+			e.Count = uint32(v)
+			if j := fragment(b, i, `,"Rec":true}`); j >= 0 {
+				e.Rec, i = true, j
+			} else {
+				i = fragment(b, i, `,"Rec":false}`)
+			}
+			if i < 0 || i == len(b) {
+				i = -1
+				break
+			}
+			cc = append(cc, e)
+			// A comma is stepped over by the loop's i++.
+			if b[i] != ',' {
+				i = fragment(b, i, `]`)
+				break
+			}
+		}
+	}
+	if i = fragment(b, i, `,"Spawn":null}`); i < 0 {
+		wb.cc = cc[:len(wb.cc)]
+		return false
+	}
+	wb.caps = append(wb.caps, c)
+	wb.cc = cc
+	slot.cap = len(wb.caps) - 1
+	if ccLo >= 0 {
+		slot.ccLo, slot.ccHi = ccLo, len(cc)
+	}
+	p.i = i
+	return true
+}
+
+// fragment returns the offset just past frag if b holds it at offset i,
+// else -1. An offset of -1 stays -1, so the one-pass path chains reads
+// and checks for failure once.
+func fragment(b []byte, i int, frag string) int {
+	if i < 0 || len(b)-i < len(frag) || string(b[i:i+len(frag)]) != frag {
+		return -1
+	}
+	return i + len(frag)
+}
+
+// marshaledUint reads an unsigned integer at offset i in json.Marshal's
+// form (digits, no sign, no leading zero) no larger than max, and
+// returns it with the offset after it, or -1 if there is none. Only a
+// 20th digit can overflow uint64, so only it pays for the check.
+func marshaledUint(b []byte, i int, max uint64) (uint64, int) {
+	if i < 0 {
+		return 0, -1
+	}
+	var v uint64
+	start := i
+	for ; i < len(b); i++ {
+		d := uint64(b[i]) - '0'
+		if d > 9 {
+			break
+		}
+		if i-start >= 19 && v > (1<<64-1-d)/10 {
+			return 0, -1
+		}
+		v = v*10 + d
+	}
+	if n := i - start; n == 0 || n > 1 && b[start] == '0' || v > max {
+		return 0, -1
+	}
+	return v, i
+}
+
+// marshaledInt32 reads a signed 32-bit integer (FuncID, SiteID) in
+// json.Marshal's form: -0, which json.Marshal never writes, is refused.
+func marshaledInt32(b []byte, i int) (int32, int) {
+	if i < 0 || i == len(b) || b[i] != '-' {
+		v, j := marshaledUint(b, i, 1<<31-1)
+		return int32(v), j
+	}
+	v, j := marshaledUint(b, i+1, 1<<31)
+	if v == 0 {
+		return 0, -1
+	}
+	return int32(-int64(v)), j
 }
 
 // capture parses one capture object into c. A top-level capture (slot
@@ -688,28 +818,56 @@ func (p *parser) ccEntry(e *core.CCEntry) error {
 // --- response writer ---
 
 // wireNames is a tenant's pre-encoded response fragments, built once at
-// Register: the response head up to the results array, and for every
-// function the tail of a frame object after its site.
+// Register: the response head up to the results array, and two slabs a
+// frame object is copied from, so writing a frame formats nothing.
 type wireNames struct {
 	head  []byte
-	frame [][]byte // FuncID → `,"fn":N,"name":"…"}`
+	sites slab // SiteID+1 → `{"site":N`; fragment 0 is prog.NoSite's
+	funcs slab // FuncID → `,"fn":N,"name":"…"}`
 }
 
+// slab is a run of byte fragments stored back to back in one slice:
+// fragment k is b[off[k]:off[k+1]].
+type slab struct {
+	b   []byte
+	off []int
+}
+
+func (s *slab) at(k int) []byte { return s.b[s.off[k]:s.off[k+1]] }
+
 // newWireNames escapes the tenant's name, hash and function names with
-// json.Marshal, the escaping json.Encoder applies to the same strings.
-func newWireNames(tenant, hash string, funcs []*prog.Function) wireNames {
-	quote := func(dst []byte, s string) []byte {
-		q, _ := json.Marshal(s) // a string always marshals
-		return append(dst, q...)
-	}
+// appendJSONString, the escaping json.Encoder applies to the same
+// strings. Each slab is sized for its fragments up front; only names
+// that need escaping can grow it.
+func newWireNames(tenant, hash string, p *prog.Program) wireNames {
 	var w wireNames
-	w.head = quote([]byte(`{"tenant":`), tenant)
-	w.head = quote(append(w.head, `,"hash":`...), hash)
+	w.head = appendJSONString([]byte(`{"tenant":`), tenant)
+	w.head = appendJSONString(append(w.head, `,"hash":`...), hash)
 	w.head = append(w.head, `,"results":[`...)
-	w.frame = make([][]byte, len(funcs))
-	for i, f := range funcs {
-		b := strconv.AppendInt([]byte(`,"fn":`), int64(i), 10)
-		w.frame[i] = append(quote(append(b, `,"name":`...), f.Name), '}')
+
+	// No site number, NoSite's -1 included, is longer than -ns.
+	ns := len(p.Sites)
+	w.sites = slab{
+		b:   make([]byte, 0, (ns+1)*(len(`{"site":`)+len(strconv.Itoa(-ns)))),
+		off: make([]int, 1, ns+2),
+	}
+	for s := int(prog.NoSite); s < ns; s++ {
+		w.sites.b = strconv.AppendInt(append(w.sites.b, `{"site":`...), int64(s), 10)
+		w.sites.off = append(w.sites.off, len(w.sites.b))
+	}
+
+	nf, names := len(p.Funcs), 0
+	for _, f := range p.Funcs {
+		names += len(f.Name)
+	}
+	w.funcs = slab{
+		b:   make([]byte, 0, names+nf*(len(`,"fn":,"name":""}`)+len(strconv.Itoa(nf)))),
+		off: make([]int, 1, nf+1),
+	}
+	for i, f := range p.Funcs {
+		b := strconv.AppendInt(append(w.funcs.b, `,"fn":`...), int64(i), 10)
+		w.funcs.b = append(appendJSONString(append(b, `,"name":`...), f.Name), '}')
+		w.funcs.off = append(w.funcs.off, len(w.funcs.b))
 	}
 	return w
 }
@@ -725,8 +883,8 @@ func (w *wireNames) appendFrames(dst []byte, ctx core.Context) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendInt(append(dst, `{"site":`...), int64(f.Site), 10)
-		dst = append(dst, w.frame[f.Fn]...)
+		dst = append(dst, w.sites.at(int(f.Site)+1)...)
+		dst = append(dst, w.funcs.at(int(f.Fn))...)
 	}
 	return append(dst, "]}"...)
 }

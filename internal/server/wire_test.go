@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"dacce/internal/ccdag"
 	"dacce/internal/core"
 	"dacce/internal/persist"
+	"dacce/internal/prog"
 )
 
 // raceEnabled is set under the race detector (race_test.go), whose
@@ -400,5 +403,205 @@ func TestDecodeBodyTooLarge(t *testing.T) {
 	}
 	if n := hits.Load(); n != 1 {
 		t.Fatalf("client sent %d attempts for a 413, want 1", n)
+	}
+}
+
+// slabState is what parsing one top-level capture leaves in a wire
+// buffer: the capture and ccStack slabs, the capture's slot and the
+// offset where parsing stopped.
+type slabState struct {
+	caps []core.Capture
+	cc   []core.CCEntry
+	slot capSlot
+	end  int
+}
+
+// parseCapture parses the top-level capture at the start of b, with the
+// one-pass path (onePass) or the general parser, into a buffer whose
+// slabs already hold one capture and one ccStack entry, and reports the
+// state it leaves. A capture the one-pass path declines must leave the
+// buffer and the offset as they were.
+func parseCapture(t testing.TB, b []byte, onePass bool) (slabState, error) {
+	t.Helper()
+	wb := &wireBuf{caps: []core.Capture{{ID: 7}}, cc: []core.CCEntry{{ID: 9}}}
+	p := parser{b: b, wb: wb}
+	slot := capSlot{cap: -1, ccLo: -1}
+	var err error
+	if onePass {
+		if !p.marshaledCapture(&slot) {
+			if p.i != 0 || len(wb.caps) != 1 || len(wb.cc) != 1 {
+				t.Fatalf("declined %q but left offset %d, %d captures, %d ccStack entries", b, p.i, len(wb.caps), len(wb.cc))
+			}
+			err = errors.New("declined")
+		}
+	} else {
+		wb.caps = append(wb.caps, core.Capture{})
+		slot.cap = len(wb.caps) - 1
+		err = p.capture(&wb.caps[slot.cap], &slot)
+	}
+	return slabState{caps: wb.caps, cc: wb.cc, slot: slot, end: p.i}, err
+}
+
+// marshaledCaptureSeeds returns captures as json.Marshal writes them,
+// covering every branch of the one-pass path, then near misses of each
+// that it must decline.
+func marshaledCaptureSeeds(t testing.TB) (marshaled, nearMisses [][]byte) {
+	deep := make([]core.CCEntry, 40)
+	for i := range deep {
+		deep[i] = core.CCEntry{ID: uint64(i) * 1e15, Site: prog.SiteID(i), Target: prog.FuncID(i + 1), Count: uint32(i % 3), Rec: i%2 == 1}
+	}
+	for _, c := range []core.Capture{
+		{},
+		{Epoch: 3, ID: 17, Fn: 4, Root: 1, CC: []core.CCEntry{}},
+		{Epoch: 2, ID: 5, Fn: 9, CC: deep},
+		{ID: 1, CC: []core.CCEntry{{ID: 2, Site: 3, Target: 4, Count: 5, Rec: true}}},
+		{Epoch: 1<<32 - 1, ID: 1234567890123456789, Fn: -1, Root: -2147483648,
+			CC: []core.CCEntry{{ID: 1<<64 - 1, Site: -7, Target: 2147483647, Count: 1<<32 - 1}}},
+		{ID: 10000000000000000000},
+		{ID: 1<<64 - 1},
+	} {
+		b, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		marshaled = append(marshaled, b)
+	}
+	withSpawn, err := json.Marshal(&core.Capture{ID: 1, Spawn: &core.Capture{Epoch: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(&core.Capture{CC: deep[:2]}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nearMisses = append(nearMisses, withSpawn, indented)
+	for _, s := range []string{
+		`{"Epoch":0, "ID":0,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"ID":0,"Epoch":0,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"epoch":0,"ID":0,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":[{"ID":0,"Site":0,"Target":0,"count":0,"Rec":false}],"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":null,"Spawn":{"ID":1}}`,
+		`{"Epoch":01,"ID":0,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":00,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":1.0,"ID":0,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":1e3,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":-0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":-1,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":2147483648,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":-2147483649,"CC":null,"Spawn":null}`,
+		`{"Epoch":4294967296,"ID":0,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":18446744073709551616,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":99999999999999999999,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":100000000000000000000,"Fn":0,"Root":0,"CC":null,"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":[{"ID":0,"Site":0,"Target":0,"Count":4294967296,"Rec":false}],"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":[null],"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":[{"ID":0,"Site":0,"Target":0,"Count":0,"Rec":false},],"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":[{"ID":0,"Site":0,"Target":0,"Count":0,"Rec":true}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":[{"ID":0,"Site":0,"Target":0,"Count":0,"Rec":null}],"Spawn":null}`,
+		`{"Epoch":0,"ID":0,"Fn":0,"Root":0,"CC":null,"Spawn":null`,
+		`null`,
+	} {
+		nearMisses = append(nearMisses, []byte(s))
+	}
+	return marshaled, nearMisses
+}
+
+// FuzzCaptureFastPath checks the one-pass path against the general
+// parser: whatever bytes it accepts, the general parser accepts too,
+// leaving the same capture, ccStack slab and slot (CC null and CC []
+// stay distinct) and stopping at the same offset. A declined capture
+// leaves the buffer untouched. Every json.Marshal'd seed must take the
+// path and every near-miss seed must not.
+func FuzzCaptureFastPath(f *testing.F) {
+	marshaled, nearMisses := marshaledCaptureSeeds(f)
+	for _, b := range marshaled {
+		if _, err := parseCapture(f, b, true); err != nil {
+			f.Fatalf("one-pass path declines json.Marshal's %s", b)
+		}
+		f.Add(b)
+	}
+	for _, b := range nearMisses {
+		if _, err := parseCapture(f, b, true); err == nil {
+			f.Fatalf("one-pass path accepts the near miss %s", b)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fast, err := parseCapture(t, b, true)
+		if err != nil {
+			return
+		}
+		general, err := parseCapture(t, b, false)
+		if err != nil {
+			t.Fatalf("one-pass path accepts %q, the general parser rejects it: %v", b, err)
+		}
+		if !reflect.DeepEqual(fast, general) {
+			t.Fatalf("on %q\none-pass: %+v\ngeneral:  %+v", b, fast, general)
+		}
+	})
+}
+
+// TestClientCapturesTakeOnePass measures the share of each serve
+// workload's captures that take the one-pass path: both 483.xalancbmk
+// streams perfbench serves, sent through server.Client in 512-capture
+// batches, must take it for every capture.
+func TestClientCapturesTakeOnePass(t *testing.T) {
+	snap, cold, warm := recordXalancbmk(t, 100_000)
+	srv := New(Config{})
+	if _, err := srv.Register("x", snap); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	var (
+		mu     sync.Mutex
+		bodies [][]byte // as the server received them
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		bodies = append(bodies, body)
+		mu.Unlock()
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL, HTTPClient: ts.Client()}
+	for name, stream := range map[string][]*core.Capture{"cold": cold, "warm": warm} {
+		for lo := 0; lo < len(stream); lo += 512 {
+			if _, err := c.Decode(&DecodeRequest{Tenant: "x", Captures: stream[lo:min(lo+512, len(stream))]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mu.Lock()
+		sent := bodies
+		bodies = nil
+		mu.Unlock()
+		onePass := 0
+		for i, body := range sent {
+			p := parser{b: body, wb: new(wireBuf)}
+			p.i = bytes.Index(body, []byte(`"captures":[`)) + len(`"captures":[`)
+			for n := 0; ; n++ {
+				more, err := p.next(']', n)
+				if err != nil {
+					t.Fatalf("%s body %d: %v", name, i, err)
+				}
+				if !more {
+					break
+				}
+				var slot capSlot
+				if !p.marshaledCapture(&slot) {
+					t.Fatalf("%s body %d: capture %d declined: %.300s", name, i, n, body[p.i:])
+				}
+				onePass++
+			}
+		}
+		if onePass != len(stream) {
+			t.Fatalf("%s stream: %d of %d captures took the one-pass path", name, onePass, len(stream))
+		}
+		t.Logf("%s stream: %d of %d captures took the one-pass path", name, onePass, len(stream))
 	}
 }
