@@ -100,6 +100,24 @@ func (s *Streaming) ObserveContextNode(thread int, n *ccdag.Node) {
 	sh.mu.Unlock()
 }
 
+// ObserveContextNodes counts a batch of canonical context nodes in one
+// shard under one acquisition of its lock: ObserveContextNode for each
+// node, for a caller that holds a shard for a whole batch (dacced, one
+// request at a time per shard). Nil nodes are skipped.
+func (s *Streaming) ObserveContextNodes(thread int, nodes []*ccdag.Node) {
+	if len(nodes) == 0 || thread < 0 {
+		return
+	}
+	sh := s.shard(thread)
+	sh.mu.Lock()
+	for _, n := range nodes {
+		if n != nil {
+			sh.nodes[n]++
+		}
+	}
+	sh.mu.Unlock()
+}
+
 // ObserveContext folds one decoded context straight into the merged
 // profile under the profiler's lock, for callers that hold a frame
 // slice rather than an interned node. ctx is consumed before return,

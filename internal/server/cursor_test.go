@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dacce/internal/ccdag"
 	"dacce/internal/core"
@@ -141,9 +144,10 @@ func TestRetireRacingDecodesKeepsProfile(t *testing.T) {
 	t.Logf("%d retirements raced %d decodes", retirements.Load(), want)
 }
 
-// TestWireBufCursorBounded: the decode cursor's buffers count toward
-// the footprint release checks against maxPooledBytes, and reset
-// empties the cursor.
+// TestWireBufCursorBounded: the decode cursor's buffers, the batch's
+// node list and the render cursor count toward the footprint release
+// checks against maxPooledBytes, and reset empties them all, leaving
+// no node in the node list's or the render cursor's backing arrays.
 func TestWireBufCursorBounded(t *testing.T) {
 	f := newServeFixture(t, Config{}, 30_000, 29)
 	tn := f.srv.resolve("serve")
@@ -163,6 +167,23 @@ func TestWireBufCursorBounded(t *testing.T) {
 	if wb.cur.Reused() != 0 {
 		t.Fatal("reset left the cursor's path in place")
 	}
+
+	wb = new(wireBuf)
+	f.srv.decodeBatch(tn, wb, f.captures[:64], 0)
+	batch := cap(wb.nodes)*int(unsafe.Sizeof(&ccdag.Node{})) + cap(wb.errs)*int(unsafe.Sizeof(error(nil))) +
+		cap(wb.render.path)*int(unsafe.Sizeof(&ccdag.Node{})) + cap(wb.render.ends)*int(unsafe.Sizeof(0))
+	if rest := wb.footprint() - wb.cur.Bytes() - cap(wb.out) - cap(wb.key); len(wb.render.path) == 0 || rest != batch {
+		t.Fatalf("footprint counts %d bytes besides the decode cursor, key and response, want the %d the node list and render cursor hold", rest, batch)
+	}
+	wb.reset()
+	if len(wb.nodes) != 0 || len(wb.render.path) != 0 {
+		t.Fatal("reset left the batch's nodes in place")
+	}
+	for _, n := range slices.Concat(wb.nodes[:cap(wb.nodes)], wb.render.path[:cap(wb.render.path)]) {
+		if n != nil {
+			t.Fatal("a reset wire buffer still holds a decoded node")
+		}
+	}
 }
 
 // BenchmarkDecodeChurn replays serve-churn's write path in process: a
@@ -170,7 +191,8 @@ func TestWireBufCursorBounded(t *testing.T) {
 // sent in stream order through Handler().ServeHTTP, with the epochs the
 // stream has left retired before each batch and every epoch retired
 // before each pass. One op is one pass over the stream; ns/capture is
-// the op's time per capture.
+// the op's time per capture, and shared-frames/frame as in
+// BenchmarkDecodeHot.
 func BenchmarkDecodeChurn(b *testing.B) {
 	pr, ok := workload.ByName("483.xalancbmk")
 	if !ok {
@@ -199,6 +221,7 @@ func BenchmarkDecodeChurn(b *testing.B) {
 		bodies   [][]byte
 		minEpoch []uint32
 		maxEpoch uint32
+		stream   []*core.Capture
 	)
 	for lo := 0; lo+batch <= len(rs.Samples); lo += batch {
 		caps := make([]*core.Capture, batch)
@@ -214,7 +237,9 @@ func BenchmarkDecodeChurn(b *testing.B) {
 		bodies = append(bodies, body)
 		minEpoch = append(minEpoch, lowest)
 		maxEpoch = max(maxEpoch, maxEpochOf(caps))
+		stream = append(stream, caps...)
 	}
+	share := sharedFrameShare(b, srv.resolve("churn").dec, stream, batch)
 	h := srv.Handler()
 	retire := func(e uint32) {
 		if _, err := srv.RetireEpoch("churn", e); err != nil {
@@ -239,6 +264,7 @@ func BenchmarkDecodeChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bodies)*batch), "ns/capture")
+	b.ReportMetric(share, "shared-frames/frame")
 }
 
 // recordXalancbmk records 483.xalancbmk as perfbench's serve workloads
@@ -292,16 +318,30 @@ func (w *replayWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
 // each sent once to warm the memo, then replayed through
 // Handler().ServeHTTP with a reused ResponseWriter, every response
 // byte-compared with the body's first. One op is one pass over the
-// stream; ns/capture is the op's time per capture.
-func BenchmarkDecodeHot(b *testing.B) {
+// stream; ns/capture is the op's time per capture, and
+// shared-frames/frame the share of the frames the response copies from
+// the result before instead of rendering.
+func BenchmarkDecodeHot(b *testing.B) { benchmarkDecodeHot(b, false) }
+
+// BenchmarkDecodeHotShuffled is BenchmarkDecodeHot on the same warm
+// stream shuffled before it is cut into bodies, so neighbouring
+// captures share little more than the root frame: the render cursor's
+// no-sharing case.
+func BenchmarkDecodeHotShuffled(b *testing.B) { benchmarkDecodeHot(b, true) }
+
+func benchmarkDecodeHot(b *testing.B, shuffle bool) {
 	const batch = 512
 	snap, _, warm := recordXalancbmk(b, 300_000)
+	warm = warm[:len(warm)/batch*batch]
+	if shuffle {
+		rand.New(rand.NewPCG(1, 2)).Shuffle(len(warm), func(i, j int) { warm[i], warm[j] = warm[j], warm[i] })
+	}
 	srv := New(Config{})
 	if _, err := srv.Register("hot", snap); err != nil {
 		b.Fatal(err)
 	}
 	var bodies [][]byte
-	for lo := 0; lo+batch <= len(warm); lo += batch {
+	for lo := 0; lo < len(warm); lo += batch {
 		body, err := json.Marshal(DecodeRequest{Tenant: "hot", Captures: warm[lo : lo+batch]})
 		if err != nil {
 			b.Fatal(err)
@@ -326,6 +366,7 @@ func BenchmarkDecodeHot(b *testing.B) {
 	for i := range bodies {
 		refs[i] = bytes.Clone(serve(i))
 	}
+	share := sharedFrameShare(b, srv.resolve("hot").dec, warm, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
@@ -335,5 +376,39 @@ func BenchmarkDecodeHot(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bodies)*batch), "ns/capture")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(warm)), "ns/capture")
+	b.ReportMetric(share, "shared-frames/frame")
+}
+
+// sharedFrameShare decodes caps into a private DAG and returns the share
+// of their frames that each capture shares, root first, with the last
+// capture before it in its batch that decoded: the share a response
+// copies instead of rendering. It compares materialized frames, not
+// nodes, so it does not rely on the render cursor's pointer rule.
+func sharedFrameShare(tb testing.TB, dec *core.Decoder, caps []*core.Capture, batch int) float64 {
+	tb.Helper()
+	dag := ccdag.New()
+	var shared, total int
+	var prev core.Context
+	for i, c := range caps {
+		if i%batch == 0 {
+			prev = nil
+		}
+		n, err := dec.DecodeNode(dag, c)
+		if err != nil || n == nil {
+			continue
+		}
+		ctx := core.NodeContext(n)
+		k := 0
+		for k < len(ctx) && k < len(prev) && ctx[k] == prev[k] {
+			k++
+		}
+		shared += k
+		total += len(ctx)
+		prev = ctx
+	}
+	if total == 0 {
+		tb.Fatal("no capture decoded to a frame")
+	}
+	return float64(shared) / float64(total)
 }

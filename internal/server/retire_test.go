@@ -226,8 +226,10 @@ func TestMemoMissRaceAccounting(t *testing.T) {
 			defer wg.Done()
 			var key []byte
 			var cur core.NodeCursor
+			var run memoRun
 			tn.genMu.RLock()
-			n, err := tn.decodeNode(target, &key, &cur)
+			n, err := tn.decodeNode(target, &key, &cur, &run)
+			tn.endMemoRun(&run)
 			tn.genMu.RUnlock()
 			if err != nil {
 				t.Error(err)
@@ -344,14 +346,20 @@ func TestMemoKeysExact(t *testing.T) {
 // nothing in the tenant keeps a decoded context alive — not the memo,
 // not the DAG, and not the streaming profiler, whose per-shard counts
 // key every node a decode observed until retireEpoch folds them into
-// its frame-keyed tree. A finalizer on every decoded leaf node must run
-// before the deadline.
+// its frame-keyed tree — and neither does a wire buffer that decoded
+// them and was reset, as release resets it before pooling it: a busy
+// pool keeps its buffers however often the collector runs. A finalizer
+// on every decoded leaf node must run before the deadline.
 func TestRetireEpochFreesProfiledNodes(t *testing.T) {
 	f := newServeFixture(t, Config{}, 30_000, 29)
 	tn := f.srv.resolve("serve")
 	if _, dr := f.decode(t, "serve", f.captures); dr == nil {
 		t.Fatal("decode failed")
 	}
+	pooled := new(wireBuf)
+	f.srv.decodeBatch(tn, pooled, f.captures, 0)
+	pooled.reset()
+	defer runtime.KeepAlive(pooled)
 	var freed atomic.Int64
 	leaves := finalizeMemoNodes(tn, &freed)
 	if leaves == 0 || tn.prof.Total() == 0 {

@@ -142,24 +142,55 @@ func memoizable(c *core.Capture) bool {
 	return c.Spawn == nil
 }
 
+// memoRun is one batch's pass over its tenant's memo: whether it holds
+// memoMu's read side, and the hits and misses it has yet to add to the
+// tenant's counters. endMemoRun releases the one and adds the others.
+type memoRun struct {
+	held         bool
+	hits, misses int64
+}
+
+// releaseMemo releases the read side of memoMu if r holds it.
+func (t *tenant) releaseMemo(r *memoRun) {
+	if r.held {
+		t.memoMu.RUnlock()
+		r.held = false
+	}
+}
+
+// endMemoRun releases r's read lock and adds its hits and misses to the
+// tenant's counters.
+func (t *tenant) endMemoRun(r *memoRun) {
+	t.releaseMemo(r)
+	t.memoHits.Add(r.hits)
+	t.memoMisses.Add(r.misses)
+	r.hits, r.misses = 0, 0
+}
+
 // decodeNode resolves a capture to its interned context node, through
 // the memo when the capture is memoizable; a walk interns through cur.
 // The memo key is built in *key, the caller's scratch; only an insert
-// copies it. Caller holds t.genMu.RLock (decodeBatch takes it per
-// batch), so no retirement can sweep the DAG mid-walk or between the
-// decodes that share cur.
-func (t *tenant) decodeNode(c *core.Capture, key *[]byte, cur *core.NodeCursor) (*ccdag.Node, error) {
+// copies it. A lookup takes memoMu's read side unless r holds it, and
+// a hit keeps it, so a run of hits takes the lock once; it is released
+// before any walk or insert, as an RWMutex cannot be upgraded. Caller
+// holds t.genMu.RLock (decodeBatch takes it per batch), so no
+// retirement can sweep the DAG mid-walk or between the decodes that
+// share cur, and calls endMemoRun once its run is over.
+func (t *tenant) decodeNode(c *core.Capture, key *[]byte, cur *core.NodeCursor, r *memoRun) (*ccdag.Node, error) {
 	if !memoizable(c) {
+		t.releaseMemo(r)
 		return t.dec.DecodeNodeCursor(t.dag, c, cur)
 	}
 	*key = appendMemoKey((*key)[:0], c)
-	t.memoMu.RLock()
-	n, ok := t.memo[c.Epoch][string(*key)]
-	t.memoMu.RUnlock()
-	if ok {
-		t.memoHits.Add(1)
+	if !r.held {
+		t.memoMu.RLock()
+		r.held = true
+	}
+	if n, ok := t.memo[c.Epoch][string(*key)]; ok {
+		r.hits++
 		return n, nil
 	}
+	t.releaseMemo(r)
 	n, err := t.dec.DecodeNodeCursor(t.dag, c, cur)
 	if err != nil {
 		return nil, err
@@ -176,13 +207,13 @@ func (t *tenant) decodeNode(c *core.Capture, key *[]byte, cur *core.NodeCursor) 
 	}
 	if prev, ok := b[string(*key)]; ok {
 		t.memoMu.Unlock()
-		t.memoHits.Add(1)
+		r.hits++
 		return prev, nil
 	}
 	b[string(*key)] = n
 	t.memoMu.Unlock()
 	t.memoSize.Add(1)
-	t.memoMisses.Add(1)
+	r.misses++
 	return n, nil
 }
 
@@ -271,6 +302,14 @@ type Server struct {
 	mRejected     *telemetry.Counter
 	mInflight     *telemetry.Gauge
 	mHTTPInflight *telemetry.Gauge
+
+	// mDecodeOK and mDecodeDuration cache /v1/decode's series of
+	// mRequests' and mReqDuration's families, looked up on first use: a
+	// decode skips the registry's label rendering and lock, and /metrics
+	// lists the series only once a decode has been served, as it does
+	// for every route.
+	mDecodeOK       atomic.Pointer[telemetry.Counter]
+	mDecodeDuration atomic.Pointer[telemetry.Histogram]
 }
 
 // New creates a Server.
@@ -346,7 +385,13 @@ func (s *Server) Handler() http.Handler {
 		s.mHTTPInflight.Set(s.httpInflight.Add(1))
 		start := time.Now()
 		defer func() {
-			s.mReqDuration(routeLabel(r.URL.Path)).ObserveDuration(time.Since(start))
+			var h *telemetry.Histogram
+			if route := routeLabel(r.URL.Path); route == "/v1/decode" {
+				h = cachedMetric(&s.mDecodeDuration, func() *telemetry.Histogram { return s.mReqDuration(route) })
+			} else {
+				h = s.mReqDuration(route)
+			}
+			h.ObserveDuration(time.Since(start))
 			s.mHTTPInflight.Set(s.httpInflight.Add(-1))
 		}()
 		s.mux.ServeHTTP(w, r)
@@ -544,7 +589,23 @@ type Stats struct {
 // --- handlers ---
 
 func (s *Server) count(endpoint string, code int) {
+	if endpoint == "decode" && code == http.StatusOK {
+		cachedMetric(&s.mDecodeOK, func() *telemetry.Counter { return s.mRequests(endpoint, "200") }).Inc()
+		return
+	}
 	s.mRequests(endpoint, strconv.Itoa(code)).Inc()
+}
+
+// cachedMetric returns the handle *p holds, storing lookup's there on
+// first use. The registry returns one handle per series, so racing
+// first uses store the same one.
+func cachedMetric[T any](p *atomic.Pointer[T], lookup func() *T) *T {
+	if m := p.Load(); m != nil {
+		return m
+	}
+	m := lookup()
+	p.Store(m)
+	return m
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, endpoint string, code int, v any) {
@@ -634,35 +695,52 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 // retirement read-lock: a concurrent RetireEpoch drains the batch
 // instead of sweeping a chain some capture here is mid-walk on, and the
 // nodes wb.cur carries from one capture's walk to the next stay
-// canonical. The cursor is emptied first, because a retirement may
-// have run since it was last filled.
+// canonical. The cursors are emptied first, because a retirement may
+// have run since they were last filled. The batch resolves every
+// capture to a node first, so memoMu's read side covers lookups only,
+// and hands the nodes to its profiler shard under one lock; it renders
+// them after releasing the read-lock, since a node's frames never
+// change, and adds its counts to the tenant's and the server's counters
+// once.
 func (s *Server) decodeBatch(t *tenant, wb *wireBuf, caps []*core.Capture, shard int) []byte {
-	out := append(wb.out[:0], t.wire.head...)
 	t.genMu.RLock()
 	wb.cur.Reset()
-	for i, c := range caps {
-		if i > 0 {
-			out = append(out, ',')
-		}
+	wb.clearBatch()
+	var run memoRun
+	for _, c := range caps {
 		var n *ccdag.Node
 		err := errNullCapture
 		if c != nil {
-			n, err = t.decodeNode(c, &wb.key, &wb.cur)
+			n, err = t.decodeNode(c, &wb.key, &wb.cur, &run)
 		}
-		if err != nil {
+		wb.nodes = append(wb.nodes, n)
+		wb.errs = append(wb.errs, err)
+	}
+	t.endMemoRun(&run)
+	t.framesReused.Add(wb.cur.Reused())
+	t.prof.ObserveContextNodes(shard, wb.nodes)
+	t.genMu.RUnlock()
+
+	out := append(wb.out[:0], t.wire.head...)
+	var failed int64
+	for i, n := range wb.nodes {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		if err := wb.errs[i]; err != nil {
 			out = appendErrorObject(out, err.Error())
-			t.errors.Add(1)
-			s.mErrors.Inc()
+			failed++
 			continue
 		}
-		t.prof.ObserveContextNode(shard, n)
-		wb.ctx = core.AppendNodeContext(wb.ctx, n)
-		out = t.wire.appendFrames(out, wb.ctx)
-		t.decoded.Add(1)
-		s.mDecoded.Inc()
+		out = wb.render.appendResult(out, &t.wire, n)
 	}
-	t.framesReused.Add(wb.cur.Reused())
-	t.genMu.RUnlock()
+	decoded := int64(len(caps)) - failed
+	t.decoded.Add(decoded)
+	s.mDecoded.Add(decoded)
+	if failed > 0 {
+		t.errors.Add(failed)
+		s.mErrors.Add(failed)
+	}
 	return append(out, "]}\n"...)
 }
 

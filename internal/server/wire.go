@@ -6,7 +6,8 @@ package server
 // of keys, and anything else falls back to the general parser.
 // Responses are appended into a reused byte slice from per-tenant
 // pre-escaped fragments, so a warm batch costs a constant number of
-// allocations whatever its size.
+// allocations whatever its size, and each result copies the frames it
+// shares with the result before it from that result's bytes.
 // The wire contract is DecodeRequest/DecodeResponse: the parser
 // accepts a subset of what encoding/json accepts and yields the
 // identical DecodeRequest wherever it accepts, and the writer's bytes
@@ -24,6 +25,7 @@ import (
 	"unicode/utf8"
 	"unsafe"
 
+	"dacce/internal/ccdag"
 	"dacce/internal/core"
 	"dacce/internal/prog"
 )
@@ -41,19 +43,22 @@ var errNullCapture = errors.New("null capture")
 const maxPooledBytes = 8 << 20
 
 // wireBuf is one /v1/decode request's reusable state: the body, the
-// slabs the parsed captures live in, the memo-key, decode-cursor and
-// materialization scratch, and the response bytes. Everything the
-// parsed DecodeRequest points at is owned here and valid until release.
+// slabs the parsed captures live in, the memo-key and decode-cursor
+// scratch, the batch's decoded nodes, the render cursor and the
+// response bytes. Everything the parsed DecodeRequest points at is
+// owned here and valid until release.
 type wireBuf struct {
-	body  bytes.Buffer
-	caps  []core.Capture  // top-level captures, in request order, nulls skipped
-	slots []capSlot       // one per captures element
-	ptrs  []*core.Capture // DecodeRequest.Captures
-	cc    []core.CCEntry  // ccStacks of the top-level captures
-	key   []byte          // memo key of the capture being decoded
-	cur   core.NodeCursor // the batch's decode cursor
-	ctx   core.Context    // materialized frames of the capture being written
-	out   []byte          // response body
+	body   bytes.Buffer
+	caps   []core.Capture  // top-level captures, in request order, nulls skipped
+	slots  []capSlot       // one per captures element
+	ptrs   []*core.Capture // DecodeRequest.Captures
+	cc     []core.CCEntry  // ccStacks of the top-level captures
+	key    []byte          // memo key of the capture being decoded
+	cur    core.NodeCursor // the batch's decode cursor
+	nodes  []*ccdag.Node   // the batch's decoded nodes, nil where a capture failed
+	errs   []error         // the batch's decode errors, parallel to nodes
+	render renderCursor    // the batch's last rendered context
+	out    []byte          // response body
 }
 
 // capSlot places one element of the captures array in the slabs:
@@ -67,25 +72,37 @@ type capSlot struct {
 var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
 
 // reset empties the buffer for the next request, dropping the spawn
-// chains the capture slab points at and the cursor's nodes, so a pooled
-// buffer pins nothing a retirement should free.
+// chains the capture slab points at and every node the cursors and the
+// node list hold, so a pooled buffer pins nothing a retirement should
+// free.
 func (wb *wireBuf) reset() {
 	clear(wb.caps)
 	clear(wb.ptrs)
 	wb.cur.Reset()
+	wb.clearBatch()
 	wb.body.Reset()
 	wb.caps, wb.slots, wb.ptrs = wb.caps[:0], wb.slots[:0], wb.ptrs[:0]
-	wb.cc, wb.key, wb.ctx, wb.out = wb.cc[:0], wb.key[:0], wb.ctx[:0], wb.out[:0]
+	wb.cc, wb.key, wb.out = wb.cc[:0], wb.key[:0], wb.out[:0]
+}
+
+// clearBatch empties the node list and the render cursor, clearing
+// their backing arrays.
+func (wb *wireBuf) clearBatch() {
+	clear(wb.nodes)
+	clear(wb.errs)
+	wb.nodes, wb.errs = wb.nodes[:0], wb.errs[:0]
+	wb.render.reset()
 }
 
 // footprint returns the bytes wb's buffers hold.
 func (wb *wireBuf) footprint() int {
-	return wb.body.Cap() + cap(wb.key) + cap(wb.out) + wb.cur.Bytes() +
+	return wb.body.Cap() + cap(wb.key) + cap(wb.out) + wb.cur.Bytes() + wb.render.bytes() +
 		cap(wb.caps)*int(unsafe.Sizeof(core.Capture{})) +
 		cap(wb.slots)*int(unsafe.Sizeof(capSlot{})) +
 		cap(wb.ptrs)*int(unsafe.Sizeof(&core.Capture{})) +
 		cap(wb.cc)*int(unsafe.Sizeof(core.CCEntry{})) +
-		cap(wb.ctx)*int(unsafe.Sizeof(core.ContextFrame{}))
+		cap(wb.nodes)*int(unsafe.Sizeof(&ccdag.Node{})) +
+		cap(wb.errs)*int(unsafe.Sizeof(error(nil)))
 }
 
 // release returns the buffer to the pool unless its footprint exceeds
@@ -872,21 +889,74 @@ func newWireNames(tenant, hash string, p *prog.Program) wireNames {
 	return w
 }
 
-// appendFrames renders a decoded context as one DecodeResult object.
-// An empty context has no frames, which omitempty drops.
-func (w *wireNames) appendFrames(dst []byte, ctx core.Context) []byte {
-	if len(ctx) == 0 {
-		return append(dst, "{}"...)
+// renderCursor writes a batch's decoded contexts as DecodeResult
+// objects into one response, copying the root prefix each context
+// shares with the last one it rendered from that context's bytes
+// earlier in the response, so only the frames past the shared prefix
+// are rendered from the slabs. Nodes are immutable, so a shared
+// ancestor pointer means equal frames; the shared prefix is found by
+// walking the new context up from its leaf until it meets the last
+// one's path, never by walking the last one's chain. A context whose
+// nodes were re-interned after a collection shares no pointer with one
+// rendered before it and is rendered in full. The zero value is empty;
+// it is valid for one response buffer until reset.
+type renderCursor struct {
+	path []*ccdag.Node // the last rendered context, root first
+	ends []int         // ends[i]: end of path[i]'s frame, relative to base
+	base int           // offset in the response of path[0]'s frame
+}
+
+// reset empties the cursor and clears every node its backing array
+// holds, past the path's length too.
+func (rc *renderCursor) reset() {
+	clear(rc.path[:cap(rc.path)])
+	rc.path, rc.ends, rc.base = rc.path[:0], rc.ends[:0], 0
+}
+
+// bytes returns the cursor's buffer footprint.
+func (rc *renderCursor) bytes() int {
+	return cap(rc.path)*int(unsafe.Sizeof(&ccdag.Node{})) + cap(rc.ends)*int(unsafe.Sizeof(0))
+}
+
+// appendResult appends n's DecodeResult object to out, the response
+// buffer every earlier call since reset appended to, and makes n the
+// cursor's last rendered context. An empty context (nil) has no frames,
+// which omitempty drops; it leaves the cursor as it was.
+func (rc *renderCursor) appendResult(out []byte, w *wireNames, n *ccdag.Node) []byte {
+	if n == nil {
+		return append(out, "{}"...)
 	}
-	dst = append(dst, `{"frames":[`...)
-	for i, f := range ctx {
-		if i > 0 {
-			dst = append(dst, ',')
+	d, last := n.Depth(), len(rc.path)
+	if d > last {
+		rc.path = slices.Grow(rc.path, d-last)
+		rc.ends = slices.Grow(rc.ends, d-last)
+	}
+	path, ends := rc.path[:d], rc.ends[:d]
+	// k is the number of root frames n shares with the last context.
+	k := 0
+	for a := n; a != nil; a = a.Pred() {
+		i := a.Depth() - 1
+		if i < last && path[i] == a {
+			k = i + 1
+			break
 		}
-		dst = append(dst, w.sites.at(int(f.Site)+1)...)
-		dst = append(dst, w.funcs.at(int(f.Fn))...)
+		path[i] = a
 	}
-	return append(dst, "]}"...)
+	out = append(out, `{"frames":[`...)
+	base := len(out)
+	if k > 0 {
+		out = append(out, out[rc.base:rc.base+ends[k-1]]...)
+	}
+	for i := k; i < d; i++ {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, w.sites.at(int(path[i].Site())+1)...)
+		out = append(out, w.funcs.at(int(path[i].Fn()))...)
+		ends[i] = len(out) - base
+	}
+	rc.path, rc.ends, rc.base = path, ends, base
+	return append(out, "]}"...)
 }
 
 // appendErrorObject renders {"error":msg}, the shape of a failed

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -189,6 +190,177 @@ func parentResponse(tn *tenant, caps []*core.Capture) DecodeResponse {
 		resp.Results = append(resp.Results, res)
 	}
 	return resp
+}
+
+// appendFrames is the rendering the render cursor replaced, kept as
+// its reference: a decoded context, materialized, as one DecodeResult
+// object, every frame rendered from the slabs. An empty context has no
+// frames, which omitempty drops.
+func (w *wireNames) appendFrames(dst []byte, ctx core.Context) []byte {
+	if len(ctx) == 0 {
+		return append(dst, "{}"...)
+	}
+	dst = append(dst, `{"frames":[`...)
+	for i, f := range ctx {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, w.sites.at(int(f.Site)+1)...)
+		dst = append(dst, w.funcs.at(int(f.Fn))...)
+	}
+	return append(dst, "]}"...)
+}
+
+// Render-cursor fuzz program: each byte is an op in its low three bits
+// and an argument in the rest.
+const (
+	rcRoot    = iota // start a new root context: Root(fn arg)
+	rcPush           // push a frame (site arg, NoSite for 0; fn the next byte)
+	rcEmit           // emit the current context as a result (nil: empty)
+	rcError          // emit an error object
+	rcEmpty          // emit an empty context
+	rcPop            // return arg%4+1 frames towards the root
+	rcRevisit        // make an earlier result current again
+	rcCollect        // collect the whole DAG and re-intern the current context
+)
+
+// FuzzRenderCursor checks the render cursor against the rendering it
+// replaced: for any run of results, error objects and empty contexts,
+// the bytes it appends equal appendFrames over each node's materialized
+// frames. The run is built from the input in a fresh DAG: roots,
+// shared prefixes, NoSite frames inside a path (a spawn boundary
+// leaves one), returns to earlier results, and collections, after which
+// the current context is re-interned as a new chain with the same
+// frames while results from before stay in play. The run is rendered
+// twice through one cursor, reset in between as each batch resets it,
+// and both passes must give the same bytes.
+func FuzzRenderCursor(f *testing.F) {
+	p := &prog.Program{}
+	for i := range 13 {
+		p.Funcs = append(p.Funcs, &prog.Function{ID: prog.FuncID(i), Name: strings.Repeat("f<", i%4) + strconv.Itoa(i)})
+	}
+	for i := range 11 {
+		p.Sites = append(p.Sites, &prog.Site{ID: prog.SiteID(i)})
+	}
+	w := newWireNames("fuzz", "0", p)
+	op := func(code, arg int) byte { return byte(code | arg<<3) }
+	push := func(site, fn int) []byte { return []byte{op(rcPush, site), byte(fn)} }
+	var deep []byte
+	for i := range 24 {
+		deep = append(deep, push(i%12, i)...)
+		if i%3 == 2 {
+			deep = append(deep, op(rcEmit, 0))
+		}
+	}
+	for _, seed := range [][]byte{
+		{},
+		{op(rcEmit, 0), op(rcEmpty, 0), op(rcError, 0)},
+		slices.Concat([]byte{op(rcRoot, 1)}, push(3, 4), push(5, 6), []byte{op(rcEmit, 0)},
+			push(7, 8), []byte{op(rcEmit, 0), op(rcPop, 1), op(rcEmit, 0)}, push(2, 9), []byte{op(rcEmit, 0)}),
+		slices.Concat([]byte{op(rcRoot, 2)}, push(1, 3), []byte{op(rcEmit, 0), op(rcError, 0)}, push(4, 5),
+			[]byte{op(rcEmit, 0), op(rcEmpty, 0)}, push(6, 7), []byte{op(rcEmit, 0), op(rcRoot, 3)}, push(1, 3),
+			[]byte{op(rcEmit, 0)}),
+		slices.Concat([]byte{op(rcRoot, 0)}, push(2, 1), push(0, 5), push(3, 2), []byte{op(rcEmit, 0)},
+			push(0, 7), []byte{op(rcEmit, 0), op(rcPop, 2), op(rcEmit, 0)}),
+		slices.Concat([]byte{op(rcRoot, 4)}, push(8, 9), push(9, 10), []byte{op(rcEmit, 0), op(rcCollect, 0),
+			op(rcEmit, 0), op(rcRevisit, 0), op(rcEmit, 0), op(rcCollect, 0), op(rcEmit, 0)}, push(1, 2),
+			[]byte{op(rcEmit, 0), op(rcRevisit, 1), op(rcEmit, 0)}),
+		slices.Concat([]byte{op(rcRoot, 5)}, deep, []byte{op(rcPop, 3), op(rcEmit, 0), op(rcRevisit, 2), op(rcEmit, 0),
+			op(rcRevisit, 5), op(rcEmit, 0), op(rcRevisit, 1), op(rcEmit, 0)}),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		// Rendering is quadratic in the run's length (each result can be
+		// as deep as the run), so longer inputs only slow the search.
+		if len(ops) > 256 {
+			t.Skip()
+		}
+		dag := ccdag.New()
+		type result struct {
+			n   *ccdag.Node
+			err bool
+		}
+		var (
+			cur  *ccdag.Node
+			run  []result
+			done []*ccdag.Node // emitted nodes, for rcRevisit
+		)
+		for i := 0; i < len(ops); i++ {
+			arg := int(ops[i] >> 3)
+			switch ops[i] & 7 {
+			case rcRoot:
+				cur = dag.Root(prog.FuncID(arg % len(p.Funcs)))
+			case rcPush:
+				fn := 0
+				if i+1 < len(ops) {
+					i++
+					fn = int(ops[i])
+				}
+				cur = dag.Intern(cur, prog.SiteID(arg%(len(p.Sites)+1)-1), prog.FuncID(fn%len(p.Funcs)))
+			case rcEmit:
+				run = append(run, result{n: cur})
+				done = append(done, cur)
+			case rcError:
+				run = append(run, result{err: true})
+			case rcEmpty:
+				run = append(run, result{})
+			case rcPop:
+				for range arg%4 + 1 {
+					if cur != nil {
+						cur = cur.Pred()
+					}
+				}
+			case rcRevisit:
+				if len(done) > 0 {
+					cur = done[arg%len(done)]
+				}
+			case rcCollect:
+				dag.Collect(dag.AdvanceGen(), nil)
+				var fresh *ccdag.Node
+				for _, fr := range core.NodeContext(cur) {
+					fresh = dag.Intern(fresh, fr.Site, fr.Fn)
+				}
+				cur = fresh
+			}
+		}
+		var want []byte
+		var ctx core.Context
+		for i, r := range run {
+			if i > 0 {
+				want = append(want, ',')
+			}
+			if r.err {
+				want = appendErrorObject(want, "e")
+				continue
+			}
+			ctx = core.AppendNodeContext(ctx, r.n)
+			want = w.appendFrames(want, ctx)
+		}
+		var rc renderCursor
+		for pass := range 2 {
+			rc.reset()
+			got := slices.Clone(w.head)
+			for i, r := range run {
+				if i > 0 {
+					got = append(got, ',')
+				}
+				if r.err {
+					got = appendErrorObject(got, "e")
+					continue
+				}
+				got = rc.appendResult(got, &w, r.n)
+			}
+			if got = got[len(w.head):]; !bytes.Equal(got, want) {
+				i := 0
+				for i < min(len(got), len(want)) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("pass %d: the render cursor's bytes differ from appendFrames' at byte %d of %d:\ngot  %.200q\nwant %.200q",
+					pass, i, len(want), got[i:], want[i:])
+			}
+		}
+	})
 }
 
 // TestDecodeResponseBytesUnchanged pins the writer to the bytes
