@@ -197,7 +197,7 @@ func run(bench, schemeName string, calls, sample int64, dump string, validate bo
 				return nil, fmt.Errorf("-validate requires -scheme dacce or pcce")
 			}
 		}
-		spawnShadow := map[int][]machine.Frame{}
+		spawnShadow := map[int][]machine.ShadowFrame{}
 		for _, th := range m.Threads() {
 			spawnShadow[th.ID()] = th.SpawnShadow
 		}

@@ -139,7 +139,7 @@ func NewEncoder(p *Program, opt Options) *Encoder { return core.New(p, opt) }
 
 // ShadowContext converts machine shadow stacks into a Context, the
 // ground truth decodes are validated against.
-func ShadowContext(spawn, shadow []machine.Frame) Context {
+func ShadowContext(spawn, shadow []machine.ShadowFrame) Context {
 	return core.ShadowContext(spawn, shadow)
 }
 

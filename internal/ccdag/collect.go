@@ -8,7 +8,7 @@
 //
 // Correctness against racing interns rests on three mechanisms:
 //
-//  1. Walks stamp root-first. internRev/internContext/decodeNode call
+//  1. Walks stamp root-first. internRev/decodeNode call
 //     Intern once per frame from the root down, so a node's stamp is
 //     never newer than its predecessor chain's. A walk may instead
 //     start from a pred an earlier walk returned (a decode cursor's

@@ -461,6 +461,37 @@ func TestStreamingHandler(t *testing.T) {
 	}
 }
 
+// TestSamplerProfileMatchesOffline checks the sampler hand-off's
+// delivery invariant at one and at four machine threads: after a run
+// that retains every sample, the streaming profile equals an offline
+// profile of the thread-local contexts the encoder's sampler decodes
+// (each sample's shadow stack, which its decode reproduces), so every
+// sample reached the observer exactly once.
+func TestSamplerProfileMatchesOffline(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		wpr, _ := workload.ByName("456.hmmer")
+		wpr.TotalCalls = 60_000
+		wpr.Threads = threads
+		w := workload.MustBuild(wpr)
+		s := NewStreaming(w.P)
+		d := core.New(w.P, core.Options{ContextObserver: s})
+		rs, err := w.NewMachine(d, machine.Config{SampleEvery: 5}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(rs.Samples)) != rs.C.Samples || rs.Threads != threads {
+			t.Fatalf("%d threads: %d of %d samples retained, %d threads ran", threads, len(rs.Samples), rs.C.Samples, rs.Threads)
+		}
+		offline := New(w.P)
+		for _, smp := range rs.Samples {
+			if err := offline.Add(core.ShadowContext(nil, smp.Shadow)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameProfile(t, s.Profile(), offline)
+	}
+}
+
 // TestStreamingFromLiveRun attaches the profiler as the DACCE context
 // observer on a real machine run and checks the live aggregate matches
 // the offline profile built from the run's recorded samples.

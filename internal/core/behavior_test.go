@@ -15,7 +15,7 @@ import (
 // compression switched on for f → f by a pass in between, and returns
 // the encoder, the capture taken at the deepest frame, its shadow stack
 // and the run's stats.
-func compressedRecursion(t *testing.T) (*DACCE, *Capture, []machine.Frame, *machine.RunStats) {
+func compressedRecursion(t *testing.T) (*DACCE, *Capture, []machine.ShadowFrame, *machine.RunStats) {
 	t.Helper()
 	b := prog.NewBuilder()
 	mainF := b.Func("main")
@@ -27,7 +27,7 @@ func compressedRecursion(t *testing.T) (*DACCE, *Capture, []machine.Frame, *mach
 	const deep = 60
 	limit := 2
 	var capDeep *Capture
-	var shadowDeep []machine.Frame
+	var shadowDeep []machine.ShadowFrame
 
 	b.Body(mainF, func(x prog.Exec) {
 		x.Call(mf, prog.NoFunc) // phase 1: discover main→f, f→f shallowly
@@ -140,7 +140,7 @@ func TestRecursionUncompressed(t *testing.T) {
 	var d *DACCE
 	const deep = 20
 	var capDeep *Capture
-	var shadowDeep []machine.Frame
+	var shadowDeep []machine.ShadowFrame
 	b.Body(mainF, func(x prog.Exec) { x.Call(mf, prog.NoFunc) })
 	b.Body(f, func(x prog.Exec) {
 		if x.Depth() < deep {
@@ -176,7 +176,7 @@ func TestTailCallRestore(t *testing.T) {
 	fx, b := progtest.Fig7()
 	var d *DACCE
 	var caps []*Capture
-	var shadows [][]machine.Frame
+	var shadows [][]machine.ShadowFrame
 	capHook := func(x prog.Exec) {
 		th := x.(*machine.Thread)
 		caps = append(caps, d.CaptureTyped(th))
@@ -234,7 +234,7 @@ func TestReencodeMidRecursion(t *testing.T) {
 	const deep = 30
 	type probe struct {
 		c      *Capture
-		shadow []machine.Frame
+		shadow []machine.ShadowFrame
 	}
 	var probes []probe
 	take := func(th *machine.Thread) {
@@ -321,7 +321,7 @@ func TestMultiThreadSpawnContexts(t *testing.T) {
 	if rs.Threads != 4 {
 		t.Fatalf("ran %d threads, want 4", rs.Threads)
 	}
-	spawnShadow := map[int][]machine.Frame{}
+	spawnShadow := map[int][]machine.ShadowFrame{}
 	for _, th := range m.Threads() {
 		spawnShadow[th.ID()] = th.SpawnShadow
 	}
@@ -353,7 +353,7 @@ func TestPLTAndLazyModule(t *testing.T) {
 
 	var d *DACCE
 	var c *Capture
-	var shadow []machine.Frame
+	var shadow []machine.ShadowFrame
 	b.Body(mainF, func(x prog.Exec) {
 		for i := 0; i < 5; i++ {
 			x.Call(mp, prog.NoFunc)
@@ -408,7 +408,7 @@ func TestIndirectHashTable(t *testing.T) {
 	var d *DACCE
 	round := 0
 	var caps []*Capture
-	var shadows [][]machine.Frame
+	var shadows [][]machine.ShadowFrame
 	b.Body(mainF, func(x prog.Exec) {
 		for _, tg := range targets {
 			x.Call(ind, tg)
@@ -518,7 +518,7 @@ func TestTailIndirect(t *testing.T) {
 
 	var d *DACCE
 	var caps []*Capture
-	var shadows [][]machine.Frame
+	var shadows [][]machine.ShadowFrame
 	b.Body(mainF, func(x prog.Exec) {
 		for i := 0; i < 30; i++ {
 			x.Call(md, prog.NoFunc)

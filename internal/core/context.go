@@ -11,8 +11,8 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"dacce/internal/ccdag"
 	"dacce/internal/graph"
 	"dacce/internal/prog"
 )
@@ -45,30 +45,20 @@ func (e CCEntry) String() string {
 
 // tls is the per-thread encoder state the paper keeps in thread-local
 // storage (§5.3): the context identifier and the ccStack, plus the
-// thread's reusable decode scratch for the sampling controller's
-// lock-free heat-estimation decode, and the thread's edge publication
-// buffer.
+// thread's edge publication buffer and its sample hand-off buffer.
 type tls struct {
-	id      uint64
-	cc      []CCEntry
-	scratch decodeScratch
-
-	// lastNode memoizes the interned node of the thread's previous
-	// sample: consecutive samples usually land in the same context, so
-	// the observer path verifies the memo with plain word compares
-	// plus one generation probe (dag.Fresh) and re-interns only on a
-	// change. The Fresh check guards against DAG reclamation: a node
-	// untouched since before the low-water epoch may have been dropped
-	// from the intern table, and reusing it as a canonical key would
-	// fork identity — the memo is revalidated (re-interned) instead.
-	// The pointer itself can never dangle; dropped nodes remain valid
-	// memory, they just lose canonicality.
-	lastNode *ccdag.Node
+	id uint64
+	cc []CCEntry
 
 	// disc is this thread's edge publication buffer. The owner appends
 	// under its mutex and flushes a full batch itself; drainAllLocked
 	// empties every buffer before any pass, export or registry read.
 	disc *discBuf
+	// samp is this thread's sample hand-off buffer (sampler.go).
+	samp *sampleBuf
+	// spare is one released capture of this thread, reused by its next
+	// Capture before the pool is asked (see capturePool).
+	spare atomic.Pointer[Capture]
 }
 
 // discBuf is one thread's edge publication buffer. DACCE registers
@@ -102,6 +92,10 @@ type Capture struct {
 	// §5.3: "the sub-path to create the current thread is also
 	// decoded").
 	Spawn *Capture
+
+	// home is the TLS of the thread that took the capture, which
+	// ReleaseCapture hands it back to; nil for captures built by hand.
+	home *tls
 }
 
 // Fingerprint returns a stable 64-bit hash of the capture — epoch, id,

@@ -93,9 +93,9 @@ type Options struct {
 	// constructs no events.
 	Sink telemetry.Sink
 	// ContextObserver receives every context the sampling controller
-	// decodes, straight off the live OnSample path — the feed of the
-	// always-on streaming profiler (ccprof.Streaming). Nil disables the
-	// hook. See SetContextObserver for the contract.
+	// decodes — the feed of the always-on streaming profiler
+	// (ccprof.Streaming). Nil disables the hook. See the ContextObserver
+	// type for when nodes arrive.
 	ContextObserver ContextObserver
 }
 
@@ -103,11 +103,22 @@ type Options struct {
 // contexts as canonical hash-consed DAG nodes: the sampling controller
 // interns each decoded context into the encoder's DAG (allocation-free
 // once the DAG holds it) and hands the observer the node — one word,
-// pointer-comparable, valid until the DAG collects it. Implementations
-// must be safe for concurrent calls from multiple machine threads, must
-// not call back into the encoder, and must be cheap and allocation-free
-// at steady state — the observer runs inside the sampling controller
-// the 0-alloc gate covers.
+// pointer-comparable, valid until the DAG collects it.
+//
+// Nodes arrive in batches, on the sampled thread: a thread's samples
+// are decoded and interned by the encoder's sampler goroutine, and the
+// sampled thread hands the nodes of one batch to the observer at its
+// next batch hand-off. A drain (a re-encoding pass, ThreadExit,
+// SetContextObserver, ExportState, Stats, Graph or FlushSamples)
+// delivers every thread's pending nodes from the draining goroutine. A
+// live profile read mid-run therefore lags by up to one batch per
+// thread; after Run returns it is complete. Implementations must be
+// safe for concurrent calls from multiple machine threads, must not
+// call back into the encoder (a drain calls them with the encoder's
+// mutex held), and must be cheap and allocation-free at steady state:
+// the observer runs inside the sampling path the 0-alloc gates cover.
+// An observer that also has an ObserveContextNodes(thread int, nodes
+// []*ccdag.Node) method gets each batch in one call.
 //
 // ReleaseNodes is the reclamation hook: the encoder calls it right
 // before each DAG collection, so an observer that retains nodes (the
@@ -177,6 +188,14 @@ type DACCE struct {
 	// list is bounded by threads started over the encoder's life.
 	discBufs []*discBuf
 
+	// sampBufs lists every thread's sample hand-off buffer, appended at
+	// ThreadStart, for the same reason; live counts the threads started
+	// and not yet exited, and sampler is the goroutine that decodes
+	// their batches while live > 0 (sampler.go).
+	sampBufs []*sampleBuf
+	live     int
+	sampler  *sampler
+
 	// siteShards serialize concurrent stub rebuilds of the same call
 	// site (two threads discovering different targets of one indirect
 	// site) without any global lock; the shard also owns the
@@ -203,7 +222,7 @@ type DACCE struct {
 	// obs is the streaming-profiler hook, published atomically so it
 	// can be attached to an already-running encoder without a race with
 	// in-flight samples.
-	obs atomic.Pointer[ContextObserver]
+	obs atomic.Pointer[observer]
 
 	// dag is the encoder's hash-consed context DAG: the intern table
 	// behind DecodeNode/DecodeSampleNode and the sampling context
@@ -263,7 +282,11 @@ type DACCE struct {
 // capturePool recycles Capture snapshots (and their ccStack copy
 // backing arrays) between samples. The machine returns unretained
 // captures through ReleaseCapture after the sampling observer is done
-// with them, so steady-state sampling allocates nothing.
+// with them, so steady-state sampling allocates nothing. Each thread
+// also keeps one released capture of its own (tls.spare), which the
+// steady state cycles without touching the pool: the pool's per-P
+// caches miss when a thread's goroutine moves to another P, and every
+// collection empties them.
 var capturePool = sync.Pool{New: func() any { return new(Capture) }}
 
 // New returns a DACCE scheme for program p.
@@ -327,10 +350,12 @@ func (d *DACCE) Name() string { return "dacce" }
 
 // Graph returns the dynamic call graph (stable after the run ends).
 // Edges still sitting in per-thread publication buffers are registered
-// first, so the registry view is complete as of the call.
+// and pending samples credit their heat first, so the registry view is
+// complete as of the call.
 func (d *DACCE) Graph() *graph.Graph {
 	d.mu.Lock()
 	d.drainAllLocked()
+	d.drainSamplesLocked()
 	d.mu.Unlock()
 	return d.g
 }
@@ -370,15 +395,17 @@ func (d *DACCE) Install(m *machine.Machine) {
 
 // ThreadStart implements machine.Scheme: allocate the TLS (paper §5.3)
 // and record the spawning context so the new thread's full calling
-// context stays decodable.
+// context stays decodable. The first live thread starts the sampler
+// goroutine.
 func (d *DACCE) ThreadStart(t, parent *machine.Thread) {
-	buf := &discBuf{}
-	t.State = &tls{disc: buf}
+	st := &tls{disc: &discBuf{}}
+	t.State = st
 	if parent != nil {
 		t.SpawnCapture = d.Capture(parent)
 	}
 	d.mu.Lock()
-	d.discBufs = append(d.discBufs, buf)
+	d.discBufs = append(d.discBufs, st.disc)
+	st.samp = d.registerThreadLocked(t)
 	if parent != nil {
 		d.g.AddRoot(t.Entry())
 	}
@@ -387,9 +414,10 @@ func (d *DACCE) ThreadStart(t, parent *machine.Thread) {
 
 // ThreadExit implements machine.Scheme: register any edges still
 // sitting in the exiting thread's publication buffer — nobody will
-// flush it afterwards — and drop the exiting thread's spawn capture's
-// epoch reference. The spawn capture object itself is not pooled:
-// retained samples may still point at it through Capture.Spawn, and
+// flush it afterwards — decode and deliver its pending samples, stop
+// the sampler goroutine if this was the last live thread, and drop the
+// exiting thread's spawn capture's epoch reference. The spawn capture
+// object itself is not pooled: retained samples may still point at it through Capture.Spawn, and
 // dropping only the refcount is safe because any later decode of such
 // a sample holds the sample's own (newer) epoch reference and stamps
 // the spawn chain's nodes with the then-current generation.
@@ -406,6 +434,7 @@ func (d *DACCE) ThreadExit(t *machine.Thread) {
 	st.disc.edges = nil
 	st.disc.mu.Unlock()
 	d.flushBatch(batch)
+	d.retireThread(st.samp)
 }
 
 // Capture implements machine.Scheme: snapshot (gTimeStamp, id, function,
@@ -415,7 +444,11 @@ func (d *DACCE) ThreadExit(t *machine.Thread) {
 // pool and the ccStack copy's backing array are warm.
 func (d *DACCE) Capture(t *machine.Thread) any {
 	st := t.State.(*tls)
-	c := capturePool.Get().(*Capture)
+	c := st.spare.Swap(nil)
+	if c == nil {
+		c = capturePool.Get().(*Capture)
+	}
+	c.home = st
 	c.Epoch = d.cur().epoch
 	c.ID = st.id
 	c.Fn = t.SelfID()
@@ -451,17 +484,21 @@ func (d *DACCE) ReleaseCapture(capture any) {
 	}
 	d.releaseEpoch(c.Epoch)
 	c.Spawn = nil
+	if h := c.home; h != nil && h.spare.CompareAndSwap(nil, c) {
+		return
+	}
 	capturePool.Put(c)
 }
 
 // OnSample implements machine.SampleObserver: the adaptive controller's
 // input (paper §4 — collected contexts are decoded to find hot edges
-// and to detect that hot paths are unencoded). The whole path is
-// lock-free: the decode walks the capture epoch's immutable index on
-// the thread's reusable scratch buffers, edge heat is credited with
-// atomic adds, and the trigger check reads atomic counters. Only the
-// optional TrackProgress bookkeeping (an experiment mode, off by
-// default) takes the mutex, to read consistent graph counts.
+// and to detect that hot paths are unencoded). The sampled thread pays
+// only for the sample count, the model cost, trigger (b)'s check, a
+// copy of the capture into its batch and the trigger check; decoding,
+// heat credit and interning run on the sampler goroutine (sampler.go),
+// and every reader of heat drains the batches first. Only the optional
+// TrackProgress bookkeeping (an experiment mode, off by default) takes
+// the mutex, to read consistent graph counts.
 func (d *DACCE) OnSample(t *machine.Thread, capture any) {
 	c, ok := capture.(*Capture)
 	if !ok || c == nil {
@@ -470,38 +507,11 @@ func (d *DACCE) OnSample(t *machine.Thread, capture any) {
 	n := d.samplesSeen.Add(1)
 	snap := d.cur()
 
-	// Estimate edge heat from the decoded sample so that even
-	// instrumentation-free (code 0) edges get frequency credit: each
-	// frame credits its call edge, found by site among its target's
-	// entries in the capture epoch's index. The capture's epoch always
-	// has an index: the capture was taken before this observer ran, and
-	// snapshots only grow.
+	// The capture's epoch always has an index: the capture was taken
+	// before this observer ran, and snapshots only grow.
 	if st, ok := t.State.(*tls); ok && int(c.Epoch) < len(snap.idx) {
-		dec := Decoder{P: d.p, idx: snap.idx}
-		if ctx, err := dec.decodeOne(c, &st.scratch); err == nil {
-			ix := snap.idx[c.Epoch]
-			for _, f := range ctx[1:] {
-				for _, ent := range ix.in[f.Fn] {
-					if ent.e.Site == f.Site {
-						atomic.AddInt64(&ent.e.Freq, 1)
-						break
-					}
-				}
-			}
-			t.C.InstrCost += machine.CostSampleDecode
-			// The streaming profiler rides the decode the controller
-			// already paid for: the context is interned into the
-			// encoder's DAG — pure pointer hops once the DAG is warm — and
-			// the observer gets the node, which outlives the scratch.
-			if op := d.obs.Load(); op != nil {
-				nd := st.lastNode
-				if !d.dag.Fresh(nd) || !nodeMatches(nd, ctx) {
-					nd = internContext(d.dag, ctx)
-					st.lastNode = nd
-				}
-				(*op).ObserveContextNode(t.ID(), nd)
-			}
-		}
+		t.C.InstrCost += machine.CostSampleDecode
+		d.sample(st.samp, c)
 	}
 	if d.opt.TrackProgress && n%d.opt.ProgressEvery == 0 {
 		d.mu.Lock()
@@ -582,6 +592,7 @@ func (d *DACCE) Stats() *Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.drainAllLocked()
+	d.drainSamplesLocked()
 	snap := d.cur()
 	s := d.stats
 	s.EdgesDiscovered = int(d.edgesDiscovered.Load())
@@ -597,15 +608,20 @@ func (d *DACCE) Stats() *Stats {
 func (d *DACCE) CompressCount() int { return len(d.cur().compress) }
 
 // SetContextObserver attaches (or, with nil, detaches) the streaming
-// context observer fed from the live sampling path. Safe to call while
-// the machine runs; in-flight samples see either the old or the new
+// context observer fed from the live sampling path. The samples taken
+// before the call reach the old observer first. Safe to call while the
+// machine runs; samples taken meanwhile see either the old or the new
 // observer.
 func (d *DACCE) SetContextObserver(o ContextObserver) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.drainSamplesLocked()
 	if o == nil {
 		d.obs.Store(nil)
 		return
 	}
-	d.obs.Store(&o)
+	bo, _ := o.(nodeBatchObserver)
+	d.obs.Store(&observer{ContextObserver: o, batch: bo})
 }
 
 // PauseHist returns the live stop-the-world pause histogram (wall

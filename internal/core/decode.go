@@ -64,10 +64,9 @@ func NewDecoder(p *prog.Program, g *graph.Graph, dicts []*blenc.Assignment) *Dec
 	return &Decoder{P: p, idx: loadDecodeIndexes(g, dicts, false)}
 }
 
-// decodeScratch holds a thread's reusable decode buffers so the
-// sampling controller's per-sample heat-estimation decode allocates
-// nothing at steady state. Owned by one thread (it lives in tls),
-// reused across samples.
+// decodeScratch holds reusable decode buffers so repeated decodes
+// allocate nothing at steady state: the sampler keeps one per machine
+// thread (sampleBuf), the external node decode paths pool them.
 type decodeScratch struct {
 	cc  []CCEntry
 	rev []ContextFrame
@@ -107,7 +106,7 @@ func (dec *Decoder) decode(c *Capture, withSpawn bool) (Context, error) {
 		}
 		prefix = p
 	}
-	body, err := dec.decodeOne(c, nil)
+	body, err := dec.decodeOne(c)
 	if err != nil {
 		return nil, err
 	}
@@ -130,17 +129,12 @@ func (ix *decodeIndex) findEdge(fn prog.FuncID, id uint64) *inEdge {
 
 // decodeOne decodes the thread-local part of a capture (no spawn
 // prefix). The result is built deepest-frame-first and reversed at the
-// end. A non-nil scratch supplies (and, grown, receives back) the two
-// working buffers, making repeated decodes on one thread
-// allocation-free; the returned Context then aliases scratch.rev and is
-// only valid until the next decode with the same scratch.
-func (dec *Decoder) decodeOne(c *Capture, scratch *decodeScratch) (Context, error) {
-	rev, err := dec.decodeOneRev(c, scratch)
+// end.
+func (dec *Decoder) decodeOne(c *Capture) (Context, error) {
+	rev, err := dec.decodeOneRev(c, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Reverse to root-first order (in place: scratch.rev, when present,
-	// aliases rev and stays reversed with it).
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
@@ -152,7 +146,10 @@ func (dec *Decoder) decodeOne(c *Capture, scratch *decodeScratch) (Context, erro
 // produced them. The node-interning decode path consumes this order
 // directly — it walks the slice backwards to intern root-first — so the
 // reversal (and with it any touching of the frames after the walk) is
-// confined to the slice-materializing path.
+// confined to the slice-materializing path. A non-nil scratch supplies
+// (and, grown, receives back) the two working buffers, making repeated
+// decodes allocation-free; the result then aliases scratch.rev and is
+// only valid until the next decode with the same scratch.
 func (dec *Decoder) decodeOneRev(c *Capture, scratch *decodeScratch) ([]ContextFrame, error) {
 	if int(c.Epoch) >= len(dec.idx) {
 		return nil, fmt.Errorf("core: capture epoch %d has no dictionary", c.Epoch)
@@ -305,7 +302,7 @@ func segment(rev []ContextFrame, ix *decodeIndex, eid uint64, from, head prog.Fu
 // ShadowContext converts a machine shadow stack (optionally preceded by
 // the thread's spawn shadow) to a Context, the ground truth a decode is
 // validated against.
-func ShadowContext(spawn, shadow []machine.Frame) Context {
+func ShadowContext(spawn, shadow []machine.ShadowFrame) Context {
 	out := make(Context, 0, len(spawn)+len(shadow))
 	for _, f := range spawn {
 		out = append(out, ContextFrame{Site: f.Site, Fn: f.Fn})

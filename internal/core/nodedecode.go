@@ -21,8 +21,8 @@ import (
 )
 
 // nodeScratchPool recycles decode scratch buffers for the external
-// DecodeNode entry points (the sampling controller keeps per-thread
-// scratch in its tls instead). Pointers in and out, so a warm
+// DecodeNode entry points (the sampler keeps one scratch per thread in
+// its sample buffer instead). Pointers in and out, so a warm
 // Get/Put cycle allocates nothing.
 var nodeScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
@@ -224,25 +224,16 @@ func internRev(dag *ccdag.DAG, pred *ccdag.Node, rev []ContextFrame) *ccdag.Node
 	return pred
 }
 
-// internContext interns a root-first context and returns the leaf.
-func internContext(dag *ccdag.DAG, ctx Context) *ccdag.Node {
-	var n *ccdag.Node
-	for _, f := range ctx {
-		n = dag.Intern(n, f.Site, f.Fn)
-	}
-	return n
-}
-
-// nodeMatches reports whether n is exactly the interned form of the
-// root-first ctx — the memo check the sampling path runs before paying
-// for an intern walk. Word compares along the pred chain only; no
-// hashing, no atomics.
-func nodeMatches(n *ccdag.Node, ctx Context) bool {
-	if n == nil || n.Depth() != len(ctx) {
+// nodeMatchesRev reports whether n is exactly the interned form of the
+// deepest-first frames rev — the memo check the sampler runs before
+// paying for an intern walk. Word compares along the pred chain only;
+// no hashing, no atomics.
+func nodeMatchesRev(n *ccdag.Node, rev []ContextFrame) bool {
+	if n == nil || n.Depth() != len(rev) {
 		return false
 	}
-	for i := len(ctx) - 1; i >= 0; i-- {
-		if n.Site() != ctx[i].Site || n.Fn() != ctx[i].Fn {
+	for _, f := range rev {
+		if n.Site() != f.Site || n.Fn() != f.Fn {
 			return false
 		}
 		n = n.Pred()

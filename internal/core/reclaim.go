@@ -12,9 +12,10 @@
 // current generation g ≥ c.Epoch, and while c is un-released the
 // low-water epoch — hence every collection floor — stays ≤ c.Epoch.
 // So no in-flight decode can have its freshly walked chain swept out
-// from under it. Sampling-path walks (OnSample) need no reference:
-// they run between machine safepoints, so no epoch can commit — and no
-// floor can advance — while one is in flight.
+// from under it. The sampler goroutine's walks run concurrently with
+// passes and collections, so each sample batch holds a reference on
+// its oldest capture's epoch until it is decoded and delivered
+// (sampler.go).
 
 package core
 
@@ -88,7 +89,7 @@ func (d *DACCE) maybeCollect() {
 	// Let the observer flush its node pins first, so the sweep below
 	// sees them gone rather than carrying dead nodes to the next pass.
 	if op := d.obs.Load(); op != nil {
-		(*op).ReleaseNodes()
+		op.ReleaseNodes()
 	}
 	st := d.dag.Collect(floor, nil)
 	d.mu.Lock()

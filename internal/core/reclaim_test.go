@@ -248,14 +248,23 @@ func TestSoakBoundedFootprint(t *testing.T) {
 		// touched. DropSamples releases every capture at sample time, so
 		// the low-water mark tracks the current epoch and each forced
 		// pass below can actually collect.
+		misses := d.DAG().Stats().Misses
 		m := w.NewMachine(d, machine.Config{SampleEvery: 5, Seed: uint64(r + 1), DropSamples: true})
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 		// Count before the forced pass, whose collection empties the DAG:
 		// this is the round's working set plus whatever earlier rounds
-		// failed to reclaim, so a leak shows here as growth.
+		// failed to reclaim, so a leak shows here as growth. The previous
+		// round's collection ran with the current epoch as its floor and
+		// nothing pinned, so it freed every node, and the DAG can hold
+		// at most the nodes this round interned itself: a collector that
+		// lags behind the low-water epoch leaves earlier rounds' nodes
+		// that this bound sees even where the contexts saturate.
 		n := d.DAG().Len()
+		if interned := d.DAG().Stats().Misses - misses; n > interned {
+			t.Fatalf("round %d: %d DAG nodes before collection, but the round interned only %d: earlier rounds' nodes survived their collections", r, n, interned)
+		}
 		switch {
 		case r == rounds/4:
 			peakEarly = n

@@ -559,6 +559,9 @@ func (d *DACCE) reencodeConcurrent(self *machine.Thread, mode passMode) {
 	start := time.Now()
 	d.mu.Lock()
 	d.drainAllLocked()
+	// The plan orders in-edges and picks compressed back edges by heat:
+	// every sample taken so far credits its heat before the plan reads it.
+	d.drainSamplesLocked()
 	trig := d.trigSnapshot()
 	if mode == passAuto {
 		// Another thread may have completed a pass while we raced to the

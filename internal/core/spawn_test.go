@@ -56,7 +56,7 @@ func TestSpawnRacesForcedPasses(t *testing.T) {
 		if rs.Threads <= 4 {
 			t.Fatalf("round %d: %d threads ran; the profile spawned none", round, rs.Threads)
 		}
-		spawnShadow := map[int][]machine.Frame{}
+		spawnShadow := map[int][]machine.ShadowFrame{}
 		for _, th := range m.Threads() {
 			spawnShadow[th.ID()] = th.SpawnShadow
 		}

@@ -127,8 +127,10 @@ func (d *DACCE) ExportState() *EncoderState {
 	// Register edges still sitting in per-thread publication buffers so
 	// the exported graph is complete as of the export — mid-run exports
 	// (snapshot archiving) rely on the per-buffer mutexes, not a world
-	// stop.
+	// stop. Pending samples credit their heat first, so every exported
+	// Freq counts every sample taken before the export.
 	d.drainAllLocked()
+	d.drainSamplesLocked()
 
 	st := &EncoderState{
 		Budget:          d.opt.Budget,

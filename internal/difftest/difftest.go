@@ -250,7 +250,7 @@ func runEncoder(name string, p *prog.Program, tr *trace.Trace, prof pcce.Profile
 		return fmt.Errorf("difftest: %s replay: %w", name, err)
 	}
 
-	spawnShadow := make(map[uint64][]machine.Frame)
+	spawnShadow := make(map[uint64][]machine.ShadowFrame)
 	for _, th := range m.Threads() {
 		spawnShadow[th.Ident()] = th.SpawnShadow
 	}
@@ -446,9 +446,9 @@ func identIndexOf(tr *trace.Trace) map[uint64]int {
 // tail-called onward removed, since tail calls reuse their caller's
 // physical frame. The filter runs per slice, matching how the
 // stackwalk scheme captured the spawn prefix from the parent thread.
-func physicalContext(spawn, shadow []machine.Frame) core.Context {
-	phys := func(fs []machine.Frame) []machine.Frame {
-		out := make([]machine.Frame, 0, len(fs))
+func physicalContext(spawn, shadow []machine.ShadowFrame) core.Context {
+	phys := func(fs []machine.ShadowFrame) []machine.ShadowFrame {
+		out := make([]machine.ShadowFrame, 0, len(fs))
 		for i, f := range fs {
 			if i+1 < len(fs) && fs[i+1].Tail {
 				continue

@@ -124,7 +124,7 @@ func captureMaxEpoch(c *core.Capture) uint32 {
 // before the checkpoint); the final blob owes every capture. Returns
 // (snapshots checked, query decodes performed).
 func checkArchive(ar *Archive, final []byte, samples []machine.Sample,
-	spawnShadow map[uint64][]machine.Frame,
+	spawnShadow map[uint64][]machine.ShadowFrame,
 	report func(s machine.Sample, epoch uint32, kind, detail string)) (int, int, error) {
 
 	type entry struct {

@@ -136,7 +136,7 @@ func Stress(spec Spec, forcers int) (*StressReport, error) {
 		Epochs:       d.Epoch(),
 		ForcedPasses: forced,
 	}
-	spawnShadow := make(map[int][]machine.Frame)
+	spawnShadow := make(map[int][]machine.ShadowFrame)
 	for _, th := range m.Threads() {
 		spawnShadow[th.ID()] = th.SpawnShadow
 	}

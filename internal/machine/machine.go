@@ -126,7 +126,7 @@ type Sample struct {
 	Capture any
 	// Shadow is a copy of the shadow stack: the true call path from the
 	// thread's entry function to Fn.
-	Shadow []Frame
+	Shadow []ShadowFrame
 }
 
 // Config configures a Machine.
@@ -322,7 +322,7 @@ func (m *Machine) spawn(fn prog.FuncID, parent *Thread) *Thread {
 		// capture chain the scheme builds through SpawnCapture links.
 		pre := parent.SpawnShadow
 		own := parent.ShadowCopy()
-		t.SpawnShadow = append(append(make([]Frame, 0, len(pre)+len(own)), pre...), own...)
+		t.SpawnShadow = append(append(make([]ShadowFrame, 0, len(pre)+len(own)), pre...), own...)
 	}
 	// The scheme sets the thread up before Threads lists it: a pass may
 	// run from outside the machine (the entry thread is spawned from

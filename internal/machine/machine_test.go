@@ -136,7 +136,8 @@ func TestPhysicalStackHidesTailCallers(t *testing.T) {
 	d := bld.Func("d")
 	sc := bld.CallSite(mainF, c)
 	sd := bld.TailSite(c, d)
-	var phys, shadow []Frame
+	var phys []Frame
+	var shadow []ShadowFrame
 	bld.Body(mainF, func(x prog.Exec) { x.Call(sc, prog.NoFunc) })
 	bld.Body(c, func(x prog.Exec) { x.TailCall(sd, prog.NoFunc) })
 	bld.Body(d, func(x prog.Exec) {

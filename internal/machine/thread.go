@@ -29,6 +29,15 @@ type Frame struct {
 	Cook    Cookie
 }
 
+// ShadowFrame is one frame of a copied shadow stack (Sample.Shadow,
+// Thread.SpawnShadow): the ground-truth call path's site, function and
+// tail flag, without the epilogue state a live Frame carries.
+type ShadowFrame struct {
+	Site prog.SiteID
+	Fn   prog.FuncID
+	Tail bool
+}
+
 // Counters aggregates per-thread event and cost counts. Schemes update
 // the instrumentation fields directly from their stubs.
 type Counters struct {
@@ -197,7 +206,7 @@ type Thread struct {
 	// parent's own SpawnShadow followed by its shadow stack — the
 	// ground truth for the complete sub-path that created this thread,
 	// through arbitrarily nested spawns.
-	SpawnShadow []Frame
+	SpawnShadow []ShadowFrame
 	// SpawnCapture is the scheme's capture of the parent context at
 	// spawn time.
 	SpawnCapture any
@@ -304,10 +313,12 @@ func (t *Thread) FrameInModule(id prog.ModuleID) bool {
 	return false
 }
 
-// ShadowCopy returns a copy of the current shadow stack.
-func (t *Thread) ShadowCopy() []Frame {
-	out := make([]Frame, len(t.shadow))
-	copy(out, t.shadow)
+// ShadowCopy returns a copy of the current shadow stack's call path.
+func (t *Thread) ShadowCopy() []ShadowFrame {
+	out := make([]ShadowFrame, len(t.shadow))
+	for i, f := range t.shadow {
+		out[i] = ShadowFrame{Site: f.Site, Fn: f.Fn, Tail: f.Tail}
+	}
 	return out
 }
 

@@ -273,7 +273,7 @@ func TestThreadedSpawnDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spawnShadow := map[int][]machine.Frame{}
+	spawnShadow := map[int][]machine.ShadowFrame{}
 	for _, th := range m.Threads() {
 		spawnShadow[th.ID()] = th.SpawnShadow
 	}

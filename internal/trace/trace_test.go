@@ -103,7 +103,7 @@ func TestReplayTailCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var deepest []machine.Frame
+	var deepest []machine.ShadowFrame
 	d := core.New(rp, core.Options{})
 	m := machine.New(rp, d, machine.Config{SampleEvery: 1})
 	rs, err := m.Run()

@@ -113,7 +113,7 @@ func TestAllSamplesDecodeAcrossProfiles(t *testing.T) {
 			if len(rs.Samples) == 0 {
 				t.Fatal("no samples")
 			}
-			spawnShadow := map[int][]machine.Frame{}
+			spawnShadow := map[int][]machine.ShadowFrame{}
 			for _, th := range m.Threads() {
 				spawnShadow[th.ID()] = th.SpawnShadow
 			}
@@ -184,7 +184,7 @@ func TestIncrementalDecodesOnBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spawnShadow := map[int][]machine.Frame{}
+			spawnShadow := map[int][]machine.ShadowFrame{}
 			for _, th := range m.Threads() {
 				spawnShadow[th.ID()] = th.SpawnShadow
 			}

@@ -9,6 +9,8 @@
 package dacce_test
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"dacce"
@@ -30,6 +32,7 @@ type steadyFixture struct {
 	th   *machine.Thread
 	site dacce.SiteID
 	stop chan struct{}
+	ran  chan struct{} // closed when the machine's Run returns
 }
 
 func newSteadyFixture(tb testing.TB) *steadyFixture {
@@ -47,7 +50,7 @@ func newSteadyFixtureOpts(tb testing.TB, opts func(*prog.Program) core.Options) 
 	leaf := bld.Func("leaf")
 	siteMid := bld.CallSite(mainF, mid)
 	siteLeaf := bld.CallSite(mid, leaf)
-	f := &steadyFixture{stop: make(chan struct{})}
+	f := &steadyFixture{stop: make(chan struct{}), ran: make(chan struct{})}
 	done := make(chan struct{})
 	bld.Body(mainF, func(x dacce.Exec) { x.Call(siteMid, dacce.NoFunc) })
 	bld.Body(mid, func(x dacce.Exec) {
@@ -60,7 +63,10 @@ func newSteadyFixtureOpts(tb testing.TB, opts func(*prog.Program) core.Options) 
 	// Sampling off: the fixture's users sample by hand; Maintain still
 	// runs on its default period and must stay allocation-free too.
 	m := machine.New(p, f.d, machine.Config{})
-	go func() { _, _ = m.Run() }()
+	go func() {
+		defer close(f.ran)
+		_, _ = m.Run()
+	}()
 	<-done
 
 	// Discover the leaf edge, then re-encode so the site is patched with
@@ -74,7 +80,12 @@ func newSteadyFixtureOpts(tb testing.TB, opts func(*prog.Program) core.Options) 
 	return f
 }
 
-func (f *steadyFixture) close() { close(f.stop) }
+// close releases the thread and waits for the run to finish, so no
+// teardown work of one fixture overlaps the next test's measurements.
+func (f *steadyFixture) close() {
+	close(f.stop)
+	<-f.ran
+}
 
 // encodedCall drives one full call+return through the encoded stub:
 // prologue safepoint, id arithmetic, empty leaf body, epilogue.
@@ -87,6 +98,16 @@ func (f *steadyFixture) sampleOnce() {
 	c := f.d.Capture(f.th)
 	f.d.OnSample(f.th, c)
 	f.d.ReleaseCapture(c)
+}
+
+// pacedSample is sampleOnce after the encoded calls a machine makes
+// between two samples at a sampling period of 16 calls, so the batch
+// hand-offs run at a program's pace.
+func (f *steadyFixture) pacedSample() {
+	for i := 0; i < 16; i++ {
+		f.encodedCall()
+	}
+	f.sampleOnce()
 }
 
 // TestEncodedFastPathNoAllocs gates the tentpole invariant: a call
@@ -210,10 +231,106 @@ func TestOnSampleNoAllocsProfiled(t *testing.T) {
 		t.Fatalf("sampling with streaming profiler allocates %v allocs/op, want 0", avg)
 	}
 	// Every sample must reach the profiler: a total short of the samples
-	// taken means the gate proved the wrong path.
+	// taken means the gate proved the wrong path. The last batches are
+	// still with the sampler or awaiting their thread's next hand-off
+	// until a flush.
+	f.d.FlushSamples()
 	if got := s.Total(); got != int64(samples) {
 		t.Fatalf("profiler total %d, want one observation per sample (%d)", got, samples)
 	}
+}
+
+// TestOnSampleNoAllocsPerBatch gates what the per-op gates above
+// cannot see: testing.AllocsPerRun divides mallocs by runs with integer
+// division, so an allocation made once per batch hand-off (one in 64
+// samples) reads as 0 allocs/op. This gate drives 4,096 samples — 64
+// hand-offs to the sampler goroutine — through the steady fixture, with
+// and without the streaming profiler, flushes them, and requires the
+// process's malloc count not to move at all.
+//
+// The runtime can allocate on its own account inside a window: a
+// goroutine wake-up that finds no idle OS thread starts one, which
+// allocates the thread's records, and a warm process needs that ever
+// more rarely. An allocation of the sampling path repeats in every
+// window (at least 64 in each), so the gate takes the fewest mallocs of
+// up to three windows.
+func TestOnSampleNoAllocsPerBatch(t *testing.T) {
+	const warm, measured, windows = 4 * 64, 4096, 3
+	for _, profiled := range []bool{false, true} {
+		name := "plain"
+		if profiled {
+			name = "profiled"
+		}
+		t.Run(name, func(t *testing.T) {
+			var f *steadyFixture
+			var s *ccprof.Streaming
+			if profiled {
+				f, s = newProfiledFixture(t)
+			} else {
+				f = newSteadyFixture(t)
+			}
+			defer f.close()
+			// Warm up with one full window first, and stock the
+			// runtime's wait-record caches; then collect, so no
+			// collection falls inside a window: nothing in it
+			// allocates, so nothing in it can trigger one.
+			for i := 0; i < measured; i++ {
+				f.pacedSample()
+			}
+			warmSudogs(256)
+			runtime.GC()
+			for i := 0; i < warm; i++ {
+				f.pacedSample()
+			}
+			f.d.FlushSamples()
+			samples := int64(warm + measured)
+			fewest := ^uint64(0)
+			for w := 0; w < windows && fewest != 0; w++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < measured; i++ {
+					f.pacedSample()
+				}
+				f.d.FlushSamples()
+				runtime.ReadMemStats(&after)
+				samples += measured
+				fewest = min(fewest, after.Mallocs-before.Mallocs)
+			}
+			if fewest != 0 {
+				t.Fatalf("every window of %d samples made mallocs, at least %d, want 0", measured, fewest)
+			}
+			if s != nil {
+				if got := s.Total(); got != samples {
+					t.Fatalf("profiler total %d, want one observation per sample (%d)", got, samples)
+				}
+			}
+		})
+	}
+}
+
+// warmSudogs parks n goroutines at once and wakes them, which leaves
+// the runtime's per-P caches of goroutine wait records (sudogs)
+// stocked. Every hand-off wakes the sampler goroutine, which parks
+// again when it is done, and a thread or a flush may wait for a batch
+// the sampler is decoding; a goroutine that parks on a P whose cache
+// is empty makes the runtime allocate a record, and a collection drops
+// the caches' shared overflow. Those allocations are the runtime's, not
+// the sampling path's, and a window must not count them.
+func warmSudogs(n int) {
+	var parked, done sync.WaitGroup
+	gate := make(chan struct{})
+	parked.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			parked.Done()
+			<-gate
+		}()
+	}
+	parked.Wait()
+	close(gate)
+	done.Wait()
 }
 
 // BenchmarkOnSampleProfiled measures the sampling path with the
