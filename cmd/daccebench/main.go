@@ -45,7 +45,7 @@ func run(args []string) int {
 		return 2
 	}
 	cmd := args[0]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	calls := fs.Int64("calls", 0, "calls per benchmark (0 = profile default)")
 	benchList := fs.String("bench", "", "comma-separated benchmark subset")
 	sample := fs.Int64("sample", 256, "sampling period in calls")
@@ -54,7 +54,14 @@ func run(args []string) int {
 	version := cliutil.AddVersion(fs)
 	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	_ = fs.Parse(args[1:])
+	// A bad flag value (say -metrics-format xml) fails here, before any
+	// benchmark runs.
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *version || cmd == "-version" || cmd == "version" {
 		cliutil.PrintVersion("daccebench")

@@ -140,3 +140,18 @@ func TestRetiredSuitesExitWithUsage(t *testing.T) {
 		}
 	}
 }
+
+// TestBadMetricsFormatFailsBeforeRun: an unknown -metrics-format is a
+// usage error caught when the flags are parsed, so `all` exits 2
+// before it runs a benchmark. The CPU profile, which starts right
+// after parsing, is never created.
+func TestBadMetricsFormatFailsBeforeRun(t *testing.T) {
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	args := []string{"all", "-bench", "429.mcf", "-calls", "2000", "-metrics", "-metrics-format", "xml", "-cpuprofile", cpu}
+	if code := run(args); code != 2 {
+		t.Fatalf("run(%q) exited %d, want 2", args, code)
+	}
+	if _, err := os.Stat(cpu); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("CPU profile exists (stat err %v): the run started before the bad flag was rejected", err)
+	}
+}

@@ -53,7 +53,7 @@ func main() {
 	stressForcers := flag.Int("stress-forcers", 2, "goroutines hammering ForceReencode during -stress")
 	jsonOut := flag.Bool("json", false, "emit each run's full report as JSON on stdout")
 	metrics := flag.Bool("metrics", false, "print a telemetry metrics snapshot after the run")
-	metricsFormat := flag.String("metrics-format", "prom", "metrics snapshot format: prom|json")
+	metricsFormat := cliutil.AddMetricsFormat(flag.CommandLine)
 	flightN := flag.Int("flight-recorder", 0, "keep a flight-recorder ring of the last N events, dumped to stderr on the first divergence")
 	version := cliutil.AddVersion(flag.CommandLine)
 	flag.Parse()
@@ -89,14 +89,8 @@ func main() {
 
 	if mts != nil {
 		fmt.Println()
-		switch *metricsFormat {
-		case "prom":
-			mts.WritePrometheus(os.Stdout)
-		case "json":
-			mts.WriteJSON(os.Stdout)
-		default:
-			fmt.Fprintf(os.Stderr, "daccedifftest: unknown -metrics-format %q\n", *metricsFormat)
-			os.Exit(2)
+		if werr := metricsFormat.Write(os.Stdout, mts); werr != nil && err == nil {
+			err = fmt.Errorf("writing metrics: %w", werr)
 		}
 	}
 	if err != nil {

@@ -39,7 +39,6 @@ package dacce
 import (
 	"io"
 
-	"dacce/internal/breadcrumbs"
 	"dacce/internal/ccdag"
 	"dacce/internal/ccprof"
 	"dacce/internal/cct"
@@ -166,12 +165,6 @@ func NewPCCE(p *Program, prof PCCEProfile, opt pcce.Options) *PCCE {
 
 // NewStackWalk returns the stack-walking baseline.
 func NewStackWalk() *StackWalk { return stackwalk.New() }
-
-// Breadcrumbs is the hash-then-reconstruct baseline (Bond et al.).
-type Breadcrumbs = breadcrumbs.Scheme
-
-// NewBreadcrumbs returns the Breadcrumbs-style baseline for p.
-func NewBreadcrumbs(p *Program) *Breadcrumbs { return breadcrumbs.New(p) }
 
 // Trace recording and replay: capture a run's exact call event stream
 // and re-execute it under a different scheme.

@@ -46,7 +46,6 @@ func main() {
 	schemes := []entry{
 		{"null", func(p *dacce.Program) dacce.Scheme { return dacce.NullScheme{} }},
 		{"pcc", func(p *dacce.Program) dacce.Scheme { return dacce.NewPCC() }},
-		{"breadcrumbs", func(p *dacce.Program) dacce.Scheme { return dacce.NewBreadcrumbs(p) }},
 		{"stackwalk", func(p *dacce.Program) dacce.Scheme { return dacce.NewStackWalk() }},
 		{"dacce", func(p *dacce.Program) dacce.Scheme { return dacce.NewEncoder(p, dacce.Options{}) }},
 		{"pcce", func(p *dacce.Program) dacce.Scheme { return dacce.NewPCCE(p, prof, dacce.PCCEOptions{}) }},

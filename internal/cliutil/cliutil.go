@@ -21,7 +21,7 @@ import (
 // Telemetry is the shared observability flag set.
 type Telemetry struct {
 	PrintMetrics  bool
-	MetricsFormat string
+	MetricsFormat *MetricsFormat
 	TraceOut      string
 	FlightN       int
 
@@ -36,7 +36,7 @@ type Telemetry struct {
 func AddTelemetry(fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{}
 	fs.BoolVar(&t.PrintMetrics, "metrics", false, "print a telemetry metrics snapshot after the run")
-	fs.StringVar(&t.MetricsFormat, "metrics-format", "prom", "metrics snapshot format: prom|json")
+	t.MetricsFormat = AddMetricsFormat(fs)
 	fs.StringVar(&t.TraceOut, "trace-out", "", "write a Chrome trace-event JSON file (chrome://tracing)")
 	fs.IntVar(&t.FlightN, "flight-recorder", 0, "keep a flight-recorder ring of the last N events, dumped to stderr on overflow or decode failure")
 	return t
@@ -93,20 +93,43 @@ func (t *Telemetry) Finish(metricsOut io.Writer) error {
 		fmt.Fprintf(os.Stderr, "trace: %d events written to %s (open in chrome://tracing)\n", t.ctr.Len(), t.TraceOut)
 	}
 	if t.mts != nil {
-		switch t.MetricsFormat {
-		case "prom":
-			if err := t.mts.WritePrometheus(metricsOut); err != nil {
-				return fmt.Errorf("writing metrics: %w", err)
-			}
-		case "json":
-			if err := t.mts.WriteJSON(metricsOut); err != nil {
-				return fmt.Errorf("writing metrics: %w", err)
-			}
-		default:
-			return fmt.Errorf("unknown -metrics-format %q (want prom or json)", t.MetricsFormat)
+		if err := t.MetricsFormat.Write(metricsOut, t.mts); err != nil {
+			return fmt.Errorf("writing metrics: %w", err)
 		}
 	}
 	return nil
+}
+
+// MetricsFormat is the -metrics-format flag's value, prom or json. Set
+// rejects any other value, so a bad format fails flag parsing instead
+// of a finished run.
+type MetricsFormat string
+
+// AddMetricsFormat registers -metrics-format on fs, defaulting to prom.
+func AddMetricsFormat(fs *flag.FlagSet) *MetricsFormat {
+	f := MetricsFormat("prom")
+	fs.Var(&f, "metrics-format", "metrics snapshot `format`: prom|json")
+	return &f
+}
+
+// String implements flag.Value.
+func (f *MetricsFormat) String() string { return string(*f) }
+
+// Set implements flag.Value.
+func (f *MetricsFormat) Set(s string) error {
+	if s != "prom" && s != "json" {
+		return fmt.Errorf("want prom or json")
+	}
+	*f = MetricsFormat(s)
+	return nil
+}
+
+// Write writes m's snapshot to w in format f.
+func (f *MetricsFormat) Write(w io.Writer, m *telemetry.Metrics) error {
+	if *f == "json" {
+		return m.WriteJSON(w)
+	}
+	return m.WritePrometheus(w)
 }
 
 // State is the shared persistence flag pair.

@@ -31,11 +31,6 @@ const (
 	MutStaleEpoch Mutation = "stale-epoch"
 )
 
-// Mutations lists the injectable faults.
-func Mutations() []Mutation {
-	return []Mutation{MutSkewID, MutDropRepetition, MutStaleEpoch}
-}
-
 // Mutate wraps a scheme whose captures are *core.Capture so that they
 // are perturbed per m before the harness sees them. MutNone returns
 // inner unchanged.

@@ -1,13 +1,12 @@
 // Package stats provides the small statistics toolkit shared by the
-// experiment harnesses: streaming counters, integer histograms with CDF
-// queries, geometric means, and compact scientific formatting used to
-// render the paper's tables.
+// experiment harnesses: integer histograms with CDF queries, geometric
+// means, and compact scientific formatting used to render the paper's
+// tables.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // GeoMean returns the geometric mean of xs. Values must be positive;
@@ -28,60 +27,27 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Hist is an exact integer-valued histogram. It stores counts per value
 // in a map, so it suits distributions with moderate support (stack
 // depths, ccStack depths) where exact CDFs are wanted.
 type Hist struct {
 	counts map[int]int64
 	total  int64
-	min    int
 	max    int
 }
 
 // NewHist returns an empty histogram.
 func NewHist() *Hist {
-	return &Hist{counts: make(map[int]int64), min: math.MaxInt, max: math.MinInt}
+	return &Hist{counts: make(map[int]int64), max: math.MinInt}
 }
 
 // Add records one observation of v.
-func (h *Hist) Add(v int) { h.AddN(v, 1) }
-
-// AddN records n observations of v.
-func (h *Hist) AddN(v int, n int64) {
-	if n <= 0 {
-		return
-	}
-	h.counts[v] += n
-	h.total += n
-	if v < h.min {
-		h.min = v
-	}
+func (h *Hist) Add(v int) {
+	h.counts[v]++
+	h.total++
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// Total returns the number of observations.
-func (h *Hist) Total() int64 { return h.total }
-
-// Min returns the smallest observed value (0 if empty).
-func (h *Hist) Min() int {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the largest observed value (0 if empty).
@@ -90,18 +56,6 @@ func (h *Hist) Max() int {
 		return 0
 	}
 	return h.max
-}
-
-// Mean returns the arithmetic mean of the observations.
-func (h *Hist) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum float64
-	for v, c := range h.counts {
-		sum += float64(v) * float64(c)
-	}
-	return sum / float64(h.total)
 }
 
 // CDFAt returns the fraction of observations ≤ v.
@@ -116,66 +70,6 @@ func (h *Hist) CDFAt(v int) float64 {
 		}
 	}
 	return float64(n) / float64(h.total)
-}
-
-// Quantile returns the smallest value v such that CDF(v) ≥ q.
-func (h *Hist) Quantile(q float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	vals := h.Support()
-	var acc int64
-	need := int64(math.Ceil(q * float64(h.total)))
-	if need <= 0 {
-		need = 1
-	}
-	for _, v := range vals {
-		acc += h.counts[v]
-		if acc >= need {
-			return v
-		}
-	}
-	return vals[len(vals)-1]
-}
-
-// Support returns the observed values in ascending order.
-func (h *Hist) Support() []int {
-	vals := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		vals = append(vals, v)
-	}
-	sort.Ints(vals)
-	return vals
-}
-
-// CDF returns the cumulative distribution as parallel slices of values
-// and fractions, suitable for plotting Figure 10-style curves.
-func (h *Hist) CDF() (vals []int, frac []float64) {
-	vals = h.Support()
-	frac = make([]float64, len(vals))
-	var acc int64
-	for i, v := range vals {
-		acc += h.counts[v]
-		frac[i] = float64(acc) / float64(h.total)
-	}
-	return vals, frac
-}
-
-// CDFSeries resamples the CDF at nPoints evenly spaced depths from 0 to
-// Max, producing fixed-length series that can be compared across runs.
-func (h *Hist) CDFSeries(nPoints int) (depths []int, frac []float64) {
-	if nPoints < 2 {
-		nPoints = 2
-	}
-	maxV := h.Max()
-	depths = make([]int, nPoints)
-	frac = make([]float64, nPoints)
-	for i := 0; i < nPoints; i++ {
-		d := maxV * i / (nPoints - 1)
-		depths[i] = d
-		frac[i] = h.CDFAt(d)
-	}
-	return depths, frac
 }
 
 // SciNotation formats a large count the way the paper's Table 1 does:

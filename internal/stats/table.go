@@ -22,9 +22,6 @@ func NewTable(header ...string) *Table {
 // table.
 func (t *Table) Row(cells ...string) { t.rows = append(t.rows, cells) }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Write renders the table to w.
 func (t *Table) Write(w io.Writer) error {
 	nCols := len(t.header)

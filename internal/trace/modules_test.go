@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"dacce/internal/machine"
@@ -33,11 +32,15 @@ func modProg(t *testing.T) (*prog.Program, prog.ModuleID) {
 }
 
 // TestTraceRecordsModuleEvents checks that the recorder captures module
-// load/unload transitions in stream order and that a replay reproduces
-// the exact lifecycle, counters included.
+// load/unload transitions in stream order, with one thread ident per
+// stream, and that a replay reproduces the exact lifecycle, counters
+// included.
 func TestTraceRecordsModuleEvents(t *testing.T) {
 	p, _ := modProg(t)
 	tr := record(t, p, machine.Config{})
+	if len(tr.Idents) != len(tr.Streams) {
+		t.Fatalf("recorder filled %d idents for %d streams", len(tr.Idents), len(tr.Streams))
+	}
 
 	loads, unloads := 0, 0
 	for _, s := range tr.Streams {
@@ -64,75 +67,6 @@ func TestTraceRecordsModuleEvents(t *testing.T) {
 	}
 	if rs.C.ModuleLoads != 4 || rs.C.ModuleUnloads != 4 {
 		t.Errorf("replay performed %d loads, %d unloads, want 4/4", rs.C.ModuleLoads, rs.C.ModuleUnloads)
-	}
-}
-
-// TestTraceV2RoundTrip checks that a trace with thread idents and
-// module events survives Write/Read bit-exactly.
-func TestTraceV2RoundTrip(t *testing.T) {
-	p, _ := modProg(t)
-	tr := record(t, p, machine.Config{})
-	if len(tr.Idents) != len(tr.Streams) {
-		t.Fatalf("recorder filled %d idents for %d streams", len(tr.Idents), len(tr.Streams))
-	}
-
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Idents) != len(tr.Idents) {
-		t.Fatalf("read back %d idents, want %d", len(got.Idents), len(tr.Idents))
-	}
-	for i := range tr.Idents {
-		if got.Idents[i] != tr.Idents[i] {
-			t.Errorf("ident[%d] = %#x, want %#x", i, got.Idents[i], tr.Idents[i])
-		}
-	}
-	if got.NumEvents() != tr.NumEvents() {
-		t.Errorf("read back %d events, want %d", got.NumEvents(), tr.NumEvents())
-	}
-	// Second write must be byte-identical (canonical encoding).
-	var buf2 bytes.Buffer
-	if err := Write(&buf2, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("re-encoding a read trace changed its bytes")
-	}
-}
-
-// TestTraceLegacyV1RoundTrip checks that ident-less traces still write
-// the legacy format and read back unchanged, so committed v1 corpora
-// keep parsing.
-func TestTraceLegacyV1RoundTrip(t *testing.T) {
-	p, _ := modProg(t)
-	tr := record(t, p, machine.Config{})
-	tr.Idents = nil // simulate a legacy trace
-
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Idents) != 0 {
-		t.Fatalf("legacy trace read back with %d idents", len(got.Idents))
-	}
-	if got.NumEvents() != tr.NumEvents() {
-		t.Errorf("read back %d events, want %d", got.NumEvents(), tr.NumEvents())
-	}
-	var buf2 bytes.Buffer
-	if err := Write(&buf2, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("legacy round-trip changed bytes")
 	}
 }
 

@@ -5,16 +5,10 @@
 // event sequence, eliminating even the residual per-run divergence of
 // seeded workload bodies (thread interleaving aside — per-thread
 // streams are replayed faithfully).
-//
-// A Trace is also a compact serialization format (binary varint) so
-// recorded runs can be stored and replayed elsewhere.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 
 	"dacce/internal/machine"
@@ -61,9 +55,9 @@ type Trace struct {
 	// Idents holds each recorded thread's spawn-tree identity
 	// (machine.Thread.Ident), aligned with Streams. Replay matches a
 	// live thread to its stream by ident, which is stable under
-	// concurrent spawning where numeric thread ids are not. Empty for
-	// traces recorded before idents existed; replay then falls back to
-	// id order.
+	// concurrent spawning where numeric thread ids are not. The
+	// Recorder always fills it; a hand-built trace may leave it empty,
+	// and replay then falls back to id order.
 	Idents []uint64
 
 	// SyntheticWork, when > 0, makes replays charge this much
@@ -198,7 +192,7 @@ func ReplayProgram(p *prog.Program, tr *Trace) (*prog.Program, error) {
 	if len(tr.Entries) != len(tr.Streams) {
 		return nil, fmt.Errorf("trace: %d entries for %d streams", len(tr.Entries), len(tr.Streams))
 	}
-	// Traces may come from serialized input: validate every reference
+	// Traces may be hand-built or fuzzed: validate every reference
 	// before execution rather than panicking mid-run.
 	for i, entry := range tr.Entries {
 		if int(entry) < 0 || int(entry) >= len(p.Funcs) {
@@ -263,7 +257,7 @@ func ReplayProgram(p *prog.Program, tr *Trace) (*prog.Program, error) {
 }
 
 // identIndex maps each recorded thread ident to its stream index, or
-// nil when the trace carries no (usable) idents: pre-ident traces, and
+// nil when the trace carries no (usable) idents: ident-less traces, and
 // corrupted traces where two streams claim the same ident.
 func identIndex(tr *Trace) map[uint64]int {
 	if len(tr.Idents) != len(tr.Streams) {
@@ -313,7 +307,7 @@ func (rp *replayer) cursorFor(t *machine.Thread) *cursor {
 			}
 		}
 		if !ok {
-			// Pre-ident traces: ids were assigned in spawn order,
+			// Ident-less traces: ids were assigned in spawn order,
 			// matching the recorded stream order for deterministic
 			// workloads.
 			idx = t.ID()
@@ -376,139 +370,4 @@ func (rp *replayer) body() prog.Body {
 			}
 		}
 	}
-}
-
-// maxThreads bounds deserialized thread counts; the first varint of the
-// versioned format is deliberately above it so version tags can never be
-// mistaken for a legacy thread count.
-const maxThreads = 1 << 20
-
-// formatV2 tags the ident-carrying serialization format. Older readers
-// reject it cleanly as an "implausible thread count".
-const formatV2 = maxThreads + 2
-
-// Write serializes the trace (varint binary). Traces carrying thread
-// idents use the v2 format; ident-less traces keep the legacy layout so
-// a Read→Write round trip is byte-identical.
-func Write(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	put := func(v uint64) {
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], v)
-		bw.Write(buf[:n])
-	}
-	v2 := len(tr.Idents) == len(tr.Streams) && len(tr.Streams) > 0
-	if v2 {
-		put(formatV2)
-	}
-	put(uint64(len(tr.Streams)))
-	put(uint64(tr.SyntheticWork))
-	for i, s := range tr.Streams {
-		put(uint64(tr.Entries[i]))
-		if v2 {
-			put(tr.Idents[i])
-		}
-		put(uint64(len(s)))
-		for _, ev := range s {
-			put(uint64(ev.Kind))
-			switch ev.Kind {
-			case EvCall:
-				put(uint64(ev.Site))
-				put(uint64(ev.Target))
-			case EvSpawn, EvModLoad, EvModUnload:
-				put(uint64(ev.Target))
-			case EvWork:
-				put(uint64(ev.Work))
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write, either format.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	get := func() (uint64, error) { return binary.ReadUvarint(br) }
-	nThreads, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading thread count: %w", err)
-	}
-	v2 := false
-	if nThreads > maxThreads {
-		if nThreads != formatV2 {
-			return nil, fmt.Errorf("trace: implausible thread count %d", nThreads)
-		}
-		v2 = true
-		nThreads, err = get()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading thread count: %w", err)
-		}
-		if nThreads > maxThreads {
-			return nil, fmt.Errorf("trace: implausible thread count %d", nThreads)
-		}
-	}
-	synth, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading synthetic work: %w", err)
-	}
-	tr := &Trace{SyntheticWork: int64(synth)}
-	for i := uint64(0); i < nThreads; i++ {
-		entry, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("trace: thread %d entry: %w", i, err)
-		}
-		if v2 {
-			ident, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("trace: thread %d ident: %w", i, err)
-			}
-			tr.Idents = append(tr.Idents, ident)
-		}
-		n, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("trace: thread %d length: %w", i, err)
-		}
-		if n > 1<<30 {
-			return nil, fmt.Errorf("trace: implausible stream length %d", n)
-		}
-		events := make([]Event, 0, n)
-		for j := uint64(0); j < n; j++ {
-			kind, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("trace: event %d/%d: %w", i, j, err)
-			}
-			ev := Event{Kind: EventKind(kind)}
-			switch ev.Kind {
-			case EvCall:
-				site, err := get()
-				if err != nil {
-					return nil, err
-				}
-				target, err := get()
-				if err != nil {
-					return nil, err
-				}
-				ev.Site, ev.Target = prog.SiteID(site), prog.FuncID(target)
-			case EvSpawn, EvModLoad, EvModUnload:
-				target, err := get()
-				if err != nil {
-					return nil, err
-				}
-				ev.Target = prog.FuncID(target)
-			case EvWork:
-				w, err := get()
-				if err != nil {
-					return nil, err
-				}
-				ev.Work = int64(w)
-			case EvReturn:
-			default:
-				return nil, fmt.Errorf("trace: bad event kind %d", kind)
-			}
-			events = append(events, ev)
-		}
-		tr.Entries = append(tr.Entries, prog.FuncID(entry))
-		tr.Streams = append(tr.Streams, events)
-	}
-	return tr, nil
 }

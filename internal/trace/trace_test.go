@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 
 	"dacce/internal/core"
@@ -153,45 +152,6 @@ func TestReplayThreads(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	pr, _ := workload.ByName("429.mcf")
-	pr.TotalCalls = 5_000
-	w := workload.MustBuild(pr)
-	tr := record(t, w.P, machine.Config{Seed: 1})
-
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.NumThreads() != tr.NumThreads() || tr2.NumEvents() != tr.NumEvents() {
-		t.Fatalf("roundtrip lost data: %d/%d events, %d/%d threads",
-			tr2.NumEvents(), tr.NumEvents(), tr2.NumThreads(), tr.NumThreads())
-	}
-	for i := range tr.Streams {
-		if tr.Entries[i] != tr2.Entries[i] {
-			t.Fatalf("thread %d entry differs", i)
-		}
-		for j := range tr.Streams[i] {
-			if tr.Streams[i][j] != tr2.Streams[i][j] {
-				t.Fatalf("thread %d event %d differs: %+v vs %+v", i, j, tr.Streams[i][j], tr2.Streams[i][j])
-			}
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})); err == nil {
-		t.Error("implausible thread count accepted")
-	}
-	if _, err := Read(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 func TestReplayEmptyTrace(t *testing.T) {
 	pr, _ := workload.ByName("429.mcf")
 	w := workload.MustBuild(pr)
@@ -243,18 +203,7 @@ func TestSyntheticWorkCharged(t *testing.T) {
 	}
 
 	tr.SyntheticWork = 50
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.SyntheticWork != 50 {
-		t.Fatalf("SyntheticWork lost in serialization: %d", tr2.SyntheticWork)
-	}
-	rp2, err := ReplayProgram(w.P, tr2)
+	rp2, err := ReplayProgram(w.P, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
